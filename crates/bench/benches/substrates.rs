@@ -6,9 +6,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use janus_comm::collectives::all_to_all;
 use janus_comm::runtime::run_workers;
 use janus_comm::Message;
-use janus_core::exec::model::{ExecConfig, WorkerState};
+use janus_core::exec::model::ExecConfig;
+use janus_core::exec::trainer::Trainer;
 use janus_core::exec::weights::{expert_from_bytes, expert_to_bytes};
-use janus_core::plan::fetch_plan;
+use janus_core::paradigm::ParadigmPolicy;
+use janus_core::plan::{fetch_plan, PlanOpts};
 use janus_moe::expert::ExpertFfn;
 use janus_moe::gate::TopKGate;
 use janus_moe::workload::{AssignmentMatrix, Imbalance};
@@ -140,16 +142,17 @@ fn bench_collectives(c: &mut Criterion) {
 }
 
 fn bench_numerical_iteration(c: &mut Criterion) {
-    let cfg = ExecConfig::small();
+    // A forced expert-centric plan through the unified loop: mesh
+    // bring-up, weight init, and one iteration per sample.
+    let trainer = Trainer::new(
+        &ExecConfig::small(),
+        &PlanOpts {
+            policy: ParadigmPolicy::ExpertCentric,
+            ..PlanOpts::default()
+        },
+    );
     c.bench_function("exec_expert_centric_iteration", |b| {
-        b.iter(|| {
-            run_workers(cfg.world(), |comm| {
-                let mut state = WorkerState::init(&cfg, comm.rank());
-                janus_core::exec::expert_centric::run_iteration(&comm, &mut state, 0)
-                    .unwrap()
-                    .loss
-            })
-        })
+        b.iter(|| black_box(trainer.run(1).losses))
     });
 }
 

@@ -1128,7 +1128,9 @@ pub mod ablations {
 pub mod compute {
     use super::*;
     use janus_core::exec::model::ExecConfig;
-    use janus_core::exec::trainer::{train_data_centric, train_expert_centric};
+    use janus_core::exec::trainer::Trainer;
+    use janus_core::paradigm::ParadigmPolicy;
+    use janus_core::plan::PlanOpts;
     use janus_tensor::{matmul_reference, pool, simd, Matrix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1262,16 +1264,20 @@ pub mod compute {
         let iters = 5u64;
         let world_tokens = (cfg.world() * cfg.tokens) as f64 * iters as f64;
         let mut training = Vec::new();
-        for (paradigm, run) in [
-            (
-                "data-centric",
-                train_data_centric as fn(&ExecConfig, u64) -> _,
-            ),
-            ("expert-centric", train_expert_centric),
+        for (paradigm, policy) in [
+            ("data-centric", ParadigmPolicy::DataCentric),
+            ("expert-centric", ParadigmPolicy::ExpertCentric),
         ] {
-            black_box(run(&cfg, 1)); // warm-up
+            let trainer = Trainer::new(
+                &cfg,
+                &PlanOpts {
+                    policy,
+                    ..PlanOpts::default()
+                },
+            );
+            black_box(trainer.run(1)); // warm-up
             let t0 = Instant::now();
-            black_box(run(&cfg, iters));
+            black_box(trainer.run(iters));
             let secs = t0.elapsed().as_secs_f64();
             training.push(TrainingRow {
                 paradigm: paradigm.to_string(),
@@ -1868,7 +1874,8 @@ pub mod trace_export {
 pub mod trace_run {
     use super::*;
     use janus_core::exec::model::{CommSnapshot, ExecConfig};
-    use janus_core::exec::trainer::train_unified;
+    use janus_core::exec::trainer::Trainer;
+    use janus_core::plan::PlanOpts;
     use janus_obs::{global, validate_chrome_trace, OverlapReport};
     use std::path::Path;
 
@@ -1899,7 +1906,7 @@ pub mod trace_run {
         let rec = global();
         rec.enable();
         let cfg = ExecConfig::mixed_paradigms();
-        let run = train_unified(&cfg, 2);
+        let run = Trainer::new(&cfg, &PlanOpts::default()).run(2);
         let metrics_text = rec.prometheus_text();
         rec.disable();
 
@@ -1970,9 +1977,9 @@ pub mod crash {
     use super::*;
     use janus_comm::faulty::{CrashAt, CrashPoint, FaultPlan};
     use janus_comm::reliable::RetransmitPolicy;
+    use janus_core::exec::elastic::RoundOpts;
     use janus_core::exec::model::ExecConfig;
-    use janus_core::exec::supervisor::{train_supervised, SupervisorOpts};
-    use janus_core::exec::trainer::{diff_runs, train_unified};
+    use janus_core::exec::trainer::{diff_runs, Trainer};
     use janus_core::plan::PlanOpts;
     use janus_obs::global;
     use std::sync::atomic::Ordering;
@@ -2066,7 +2073,7 @@ pub mod crash {
         };
         let iters = 4u64;
         let world = cfg.world();
-        let sup = SupervisorOpts {
+        let sup = RoundOpts {
             retransmit: RetransmitPolicy {
                 initial_backoff: Duration::from_micros(500),
                 max_backoff: Duration::from_millis(8),
@@ -2074,9 +2081,10 @@ pub mod crash {
                 flush_quiet: Duration::from_millis(40),
                 ..RetransmitPolicy::default()
             },
-            ..SupervisorOpts::default()
+            ..RoundOpts::default()
         };
-        let scenarios: Vec<(&str, FaultPlan, SupervisorOpts)> = vec![
+        // (label, faults, round length)
+        let scenarios: Vec<(&str, FaultPlan, u64)> = vec![
             (
                 "iteration-crash",
                 FaultPlan {
@@ -2087,7 +2095,7 @@ pub mod crash {
                     }],
                     ..FaultPlan::default()
                 },
-                sup,
+                1,
             ),
             (
                 "send-op-crash",
@@ -2099,7 +2107,7 @@ pub mod crash {
                     }],
                     ..FaultPlan::default()
                 },
-                sup,
+                1,
             ),
             (
                 "crash-coarse-cut",
@@ -2111,10 +2119,7 @@ pub mod crash {
                     }],
                     ..FaultPlan::default()
                 },
-                SupervisorOpts {
-                    ckpt_every: 2,
-                    ..sup
-                },
+                2,
             ),
             (
                 "crash-lossy-links",
@@ -2129,7 +2134,7 @@ pub mod crash {
                     }],
                     ..FaultPlan::default()
                 },
-                sup,
+                1,
             ),
             (
                 "double-crash",
@@ -2147,14 +2152,15 @@ pub mod crash {
                     ],
                     ..FaultPlan::default()
                 },
-                sup,
+                1,
             ),
         ];
 
         // Record ckpt spans and recovery metrics for the whole sweep.
         let rec = global();
         rec.enable();
-        let clean = train_unified(&cfg, iters);
+        let trainer = Trainer::new(&cfg, &PlanOpts::default());
+        let clean = trainer.run(iters);
         let mut rows = Vec::new();
         let mut ranks: Vec<RankRow> = (0..world)
             .map(|rank| RankRow {
@@ -2164,11 +2170,16 @@ pub mod crash {
                 ckpts_restored: 0,
             })
             .collect();
-        for (name, faults, sup) in scenarios {
-            let (_, run, report) =
-                train_supervised(&cfg, &PlanOpts::default(), &sup, iters, faults)
-                    .unwrap_or_else(|e| panic!("{name}: supervisor failed: {e}"));
-            let d = diff_runs(&clean, &run);
+        for (name, faults, ckpt_every) in scenarios {
+            let opts = RoundOpts {
+                ckpt_every,
+                ..sup.clone()
+            };
+            let out = trainer
+                .run_rounds(&opts, iters, faults)
+                .unwrap_or_else(|e| panic!("{name}: round driver failed: {e}"));
+            let report = out.recovery;
+            let d = diff_runs(&clean, &out.run);
             assert_eq!(
                 d.max_loss_diff, 0.0,
                 "{name}: diverged from clean run: {d:?}"
@@ -2214,7 +2225,7 @@ pub mod crash {
         Report {
             seed,
             iters,
-            plan_digest: format!("{:016x}", cfg.compile_plan(&PlanOpts::default()).digest()),
+            plan_digest: format!("{:016x}", trainer.plan().digest()),
             scenarios: rows,
             ranks,
             ckpt_save_spans,
@@ -2308,7 +2319,8 @@ pub mod faults {
     use janus_comm::local::local_mesh;
     use janus_comm::reliable::{ReliableTransport, RetransmitPolicy};
     use janus_core::exec::model::{CommSnapshot, ExecConfig};
-    use janus_core::exec::trainer::{diff_runs, train_unified, train_unified_on};
+    use janus_core::exec::trainer::{diff_runs, Trainer};
+    use janus_core::plan::PlanOpts;
     use std::time::Duration;
 
     /// One rank's reliability counters after the chaos run.
@@ -2363,7 +2375,8 @@ pub mod faults {
             lr: 0.01,
         };
         let iters = 3u64;
-        let clean = train_unified(&cfg, iters);
+        let trainer = Trainer::new(&cfg, &PlanOpts::default());
+        let clean = trainer.run(iters);
         let plan = FaultPlan {
             seed,
             drop: 0.04,
@@ -2390,16 +2403,12 @@ pub mod faults {
             .into_iter()
             .map(|t| ReliableTransport::with_policy(FaultyTransport::new(t, plan.clone()), policy))
             .collect();
-        let chaotic = train_unified_on(endpoints, &cfg, iters);
+        let chaotic = trainer.run_on(endpoints, iters);
         let d = diff_runs(&clean, &chaotic);
         Report {
             seed,
             iters,
-            plan_digest: format!(
-                "{:016x}",
-                cfg.compile_plan(&janus_core::plan::PlanOpts::default())
-                    .digest()
-            ),
+            plan_digest: format!("{:016x}", trainer.plan().digest()),
             max_loss_diff: d.max_loss_diff,
             max_weight_diff: d.max_weight_diff,
             totals: chaotic.comm_totals(),
@@ -2486,15 +2495,16 @@ pub mod faults {
 /// permanent rank death.
 pub mod migrate {
     use super::*;
+    use janus_comm::local::local_mesh;
     use janus_comm::tcp::tcp_mesh_localhost;
-    use janus_comm::{FaultPlan, Transport};
-    use janus_core::exec::data_centric::MachineShared;
+    use janus_comm::FaultPlan;
+    use janus_core::ckpt::CheckpointPolicy;
     use janus_core::exec::elastic::{
-        apply_gate_skew, expert_loads, placement_moves, resume_from_cut, skew_ratio, train_elastic,
-        ElasticOpts, ElasticOutcome, GateSkew, PermanentDeath,
+        apply_gate_skew, expert_loads, placement_moves, skew_ratio, Cut, GateSkew, PermanentDeath,
+        RoundOpts, RoundsOutcome,
     };
     use janus_core::exec::model::{ExecConfig, WorkerState};
-    use janus_core::exec::unified;
+    use janus_core::exec::trainer::Trainer;
     use janus_core::exec::weights::expert_to_bytes;
     use janus_core::paradigm::Paradigm;
     use janus_core::placement::Placement;
@@ -2835,17 +2845,14 @@ pub mod migrate {
 
     /// Check that a fresh run restarted from the last post-migration cut
     /// continues bitwise identically to the elastic run past the cut.
-    fn resume_matches(
-        cfg: &ExecConfig,
-        opts: &PlanOpts,
-        skew: Option<&GateSkew>,
-        out: &ElasticOutcome,
-    ) -> bool {
+    fn resume_matches(trainer: &Trainer, skew: Option<&GateSkew>, out: &RoundsOutcome) -> bool {
         let Some(cut) = out.cuts.last() else {
             return false;
         };
-        let reference = resume_from_cut(cfg, opts, skew, cut, ITERS);
-        (0..cfg.world()).all(|rank| {
+        let world = trainer.cfg().world();
+        let reference =
+            trainer.run_from(local_mesh(world), cut, skew, ITERS, CheckpointPolicy::Never);
+        (0..world).all(|rank| {
             if !cut.placement.is_live(rank) {
                 return true;
             }
@@ -2855,8 +2862,8 @@ pub mod migrate {
         })
     }
 
-    fn epoch_rows(out: &ElasticOutcome) -> Vec<EpochRow> {
-        out.report
+    fn epoch_rows(out: &RoundsOutcome) -> Vec<EpochRow> {
+        out.elastic
             .epochs
             .iter()
             .map(|e| EpochRow {
@@ -2870,18 +2877,19 @@ pub mod migrate {
             .collect()
     }
 
-    fn elastic_section(cfg: &ExecConfig, opts: &PlanOpts, el: &ElasticOpts) -> ElasticSection {
-        let out = train_elastic(cfg, opts, el, ITERS, FaultPlan::default())
+    fn elastic_section(trainer: &Trainer, el: &RoundOpts) -> ElasticSection {
+        let out = trainer
+            .run_rounds(el, ITERS, FaultPlan::default())
             .expect("elastic run completes");
         ElasticSection {
             epochs: epoch_rows(&out),
-            dead_ranks: out.report.dead_ranks.clone(),
-            degraded: out.report.degraded,
-            migrations: out.report.migrations,
-            migration_bytes: out.report.migration_bytes,
-            aborted_migrations: out.report.aborted_migrations,
-            resume_bitwise: resume_matches(cfg, opts, el.skew.as_ref(), &out),
-            final_placement_digest: hex(out.report.final_placement_digest),
+            dead_ranks: out.elastic.dead_ranks.clone(),
+            degraded: out.elastic.degraded,
+            migrations: out.elastic.migrations,
+            migration_bytes: out.elastic.migration_bytes,
+            aborted_migrations: out.elastic.aborted_migrations,
+            resume_bitwise: resume_matches(trainer, el.skew.as_ref(), &out),
+            final_placement_digest: hex(out.elastic.final_placement_digest),
         }
     }
 
@@ -2893,33 +2901,22 @@ pub mod migrate {
         wall_us_per_iter: f64,
     }
 
-    fn pinned_run<T: Transport + 'static>(
-        endpoints: Vec<T>,
-        cfg: &ExecConfig,
-        opts: &PlanOpts,
-        placement: &Placement,
-        skew: &GateSkew,
-    ) -> PinnedRun {
-        let plan = cfg.compile_plan(opts);
-        let shared = MachineShared::for_cluster_placed(cfg, placement);
+    /// Train from the deterministic init under `placement` on a fresh
+    /// localhost TCP mesh.
+    fn pinned_run(trainer: &Trainer, placement: &Placement, skew: &GateSkew) -> PinnedRun {
+        let mesh = tcp_mesh_localhost(trainer.cfg().world()).expect("localhost mesh");
         let t0 = Instant::now();
-        let results = janus_comm::runtime::run_on(endpoints, |comm| {
-            let rank = comm.rank();
-            let mut state = WorkerState::init_placed(cfg, rank, placement.clone());
-            apply_gate_skew(&mut state, skew);
-            let sh = &shared[cfg.machine_of(rank)];
-            let mut losses = Vec::new();
-            for i in 0..ITERS {
-                let out = unified::run_iteration(&comm, &mut state, sh, &plan, i)
-                    .unwrap_or_else(|e| panic!("rank {rank} at iteration {i}: {e}"));
-                losses.push(out.loss);
-            }
-            (losses, state.comm.snapshot().remote_bytes)
-        });
+        let run = trainer.run_from(
+            mesh,
+            &Cut::fresh(placement.clone()),
+            Some(skew),
+            ITERS,
+            CheckpointPolicy::Never,
+        );
         let wall_us_per_iter = t0.elapsed().as_micros() as f64 / ITERS as f64;
         PinnedRun {
-            losses: results.iter().map(|(l, _)| l.clone()).collect(),
-            remote_bytes: results.iter().map(|(_, b)| *b).collect(),
+            losses: run.losses,
+            remote_bytes: run.comm.iter().map(|c| c.remote_bytes).collect(),
             wall_us_per_iter,
         }
     }
@@ -2927,8 +2924,8 @@ pub mod migrate {
     /// Run the whole experiment.
     pub fn run() -> Report {
         let (cfg, skew) = config();
-        let opts = PlanOpts::default();
-        let plan = cfg.compile_plan(&opts);
+        let trainer = Trainer::new(&cfg, &PlanOpts::default());
+        let plan = trainer.plan();
         let world = cfg.world();
 
         // --- Simulator half: detect the skew, price the swap. ---
@@ -2949,13 +2946,13 @@ pub mod migrate {
             &cfg,
             &balanced,
             &per_rank,
-            &iteration_flows(&cfg, &plan, &balanced, &per_rank),
+            &iteration_flows(&cfg, plan, &balanced, &per_rank),
         );
         let iter_after = price_iteration(
             &cfg,
             &migrated,
             &per_rank,
-            &iteration_flows(&cfg, &plan, &migrated, &per_rank),
+            &iteration_flows(&cfg, plan, &migrated, &per_rank),
         );
         assert!(
             iter_after.makespan_s < iter_before.makespan_s,
@@ -2984,14 +2981,13 @@ pub mod migrate {
 
         // --- Elastic half: the driver performs the swap live. ---
         let elastic = elastic_section(
-            &cfg,
-            &opts,
-            &ElasticOpts {
+            &trainer,
+            &RoundOpts {
                 ckpt_every: 2,
                 skew_ratio: 1.2,
                 max_moves: 6,
                 skew: Some(skew),
-                ..ElasticOpts::default()
+                ..RoundOpts::default()
             },
         );
         assert!(
@@ -3005,36 +3001,23 @@ pub mod migrate {
 
         // --- Degradation half: permanent death mid-run. ---
         let degraded = elastic_section(
-            &cfg,
-            &opts,
-            &ElasticOpts {
+            &trainer,
+            &RoundOpts {
                 ckpt_every: 2,
                 deaths: vec![PermanentDeath {
                     rank: dead_rank,
                     at_iter: 3,
                     during_migration: false,
                 }],
-                ..ElasticOpts::default()
+                ..RoundOpts::default()
             },
         );
         assert!(degraded.degraded && degraded.dead_ranks == vec![dead_rank]);
         assert!(degraded.resume_bitwise, "drain must be bitwise-resumable");
 
         // --- Real TCP half: balanced vs migrated, same workload. ---
-        let tcp_balanced = pinned_run(
-            tcp_mesh_localhost(world).expect("localhost mesh"),
-            &cfg,
-            &opts,
-            &balanced,
-            &skew,
-        );
-        let tcp_migrated = pinned_run(
-            tcp_mesh_localhost(world).expect("localhost mesh"),
-            &cfg,
-            &opts,
-            &migrated,
-            &skew,
-        );
+        let tcp_balanced = pinned_run(&trainer, &balanced, &skew);
+        let tcp_migrated = pinned_run(&trainer, &migrated, &skew);
         let max_loss_diff = tcp_balanced
             .losses
             .iter()
@@ -3349,7 +3332,7 @@ pub mod serve {
 pub mod analyze {
     use super::*;
     use janus_core::exec::model::ExecConfig;
-    use janus_core::exec::trainer::train_unified_with;
+    use janus_core::exec::trainer::Trainer;
     use janus_core::plan::PlanOpts;
     use janus_core::sim::drift::sim_segments;
     use janus_core::sim::engine::build_graph_from_plan;
@@ -3444,7 +3427,9 @@ pub mod analyze {
         let plan_opts = PlanOpts::default();
         let rec = global();
         rec.enable_with_clock(Arc::new(FakeClock::ticking(1)));
-        let (plan, run) = train_unified_with(&cfg, &plan_opts, ITERS);
+        let trainer = Trainer::new(&cfg, &plan_opts);
+        let plan = trainer.plan();
+        let run = trainer.run(ITERS);
         rec.disable();
         let events = run.trace;
 
@@ -3495,7 +3480,7 @@ pub mod analyze {
             Imbalance::Balanced,
             cfg.seed,
         );
-        let (graph, _) = build_graph_from_plan(&setup, &EngineOpts::default(), &plan);
+        let (graph, _) = build_graph_from_plan(&setup, &EngineOpts::default(), plan);
         let sim = simulate(&graph, &setup.cluster.capacities())
             .map_err(|e| format!("plan does not simulate: {e:?}"))?;
         let sim_segs = sim_segments(&sim);

@@ -113,6 +113,17 @@ impl TcpTransport {
     }
 }
 
+/// Each reader thread holds a `try_clone` of its socket, so dropping the
+/// write halves alone never closes a connection: without the shutdown
+/// both ends' readers would block on each other forever, leaking a thread
+/// and a socket per peer per mesh. Shutting down only the write half
+/// lets peers drain what is in flight and reach EOF at a frame boundary.
+impl Drop for TcpTransport {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
 fn spawn_reader(peer: usize, stream: TcpStream, tx: Sender<(usize, Message)>) {
     thread::Builder::new()
         .name(format!("tcp-reader-{peer}"))

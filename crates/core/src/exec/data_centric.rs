@@ -22,14 +22,12 @@
 //!   baseline (paper §3.2).
 //!
 //! The per-block bodies ([`forward_block`], [`backward_block`]) and the
-//! update/teardown steps are the reusable units the unified engine
-//! dispatches to; [`run_iteration`] composes them for a pure data-centric
-//! run.
+//! update/teardown steps ([`wait_and_apply_updates`], [`finish_iteration`])
+//! are what [`unified::run_iteration`](crate::exec::unified::run_iteration)
+//! dispatches a data-centric block to; an all-data-centric run is a plan
+//! compiled with `ParadigmPolicy::DataCentric`.
 
-use crate::exec::expert_centric::IterOutput;
-use crate::exec::model::{
-    loss_and_grad, CommCounters, ExecConfig, GradInbox, PullRetryPolicy, WorkerState,
-};
+use crate::exec::model::{CommCounters, ExecConfig, GradInbox, PullRetryPolicy, WorkerState};
 use crate::exec::obs;
 use crate::exec::weights::{expert_from_bytes, expert_to_bytes, grads_from_bytes, grads_to_bytes};
 use crate::placement::Placement;
@@ -706,76 +704,25 @@ pub(crate) fn finish_iteration<T: Transport>(
     rt.barrier(iter * 2 + 1)
 }
 
-/// Run one data-centric training iteration.
-pub fn run_iteration<T: Transport>(
-    comm: &Comm<T>,
-    state: &mut WorkerState,
-    shared: &MachineShared,
-    iter: u64,
-) -> Result<IterOutput, CommError> {
-    let blocks = state.cfg.blocks;
-    let rt = DcRuntime::new(comm, state, shared);
-    let iter_span = obs::span(state.rank, "iter", || {
-        (format!("iter/{iter}"), "iter".to_string())
-    });
-
-    let mut x = state.inputs.clone();
-    let mut tapes: Vec<BlockTapeDc> = Vec::with_capacity(blocks);
-
-    // ---- Forward ----
-    for b in 0..blocks {
-        let (y, tape) = forward_block(&rt, state, b, &x)?;
-        tapes.push(tape);
-        x = y;
-    }
-
-    let (loss, mut dy) = loss_and_grad(&x);
-    let output = x;
-
-    // ---- Backward ----
-    for b in (0..blocks).rev() {
-        dy = backward_block(&rt, state, b, &tapes[b], &dy)?;
-    }
-
-    // ---- Update ----
-    let all_blocks: Vec<usize> = (0..blocks).collect();
-    wait_and_apply_updates(&rt, state, &all_blocks)?;
-    rt.refresh_serving(state);
-    finish_iteration(&rt, state, iter)?;
-    state.comm.record_transport(comm.transport().stats());
-    state
-        .comm
-        .record_cache(shared.cache.stats(), shared.grads.prefolds());
-    drop(iter_span);
-    Ok(IterOutput { output, loss })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use janus_comm::runtime::run_workers;
-    use janus_tensor::Matrix;
+    use crate::exec::trainer::{TrainRun, Trainer};
+    use crate::paradigm::ParadigmPolicy;
+    use crate::plan::PlanOpts;
 
-    fn run_dc(cfg: &ExecConfig, iters: u64) -> Vec<(Vec<f32>, Vec<Vec<ExpertFfn>>, Matrix)> {
-        let shared = MachineShared::for_cluster(cfg);
-        run_workers(cfg.world(), |comm| {
-            let mut state = WorkerState::init(cfg, comm.rank());
-            let shared = &shared[cfg.machine_of(comm.rank())];
-            let mut losses = Vec::new();
-            let mut last = None;
-            for i in 0..iters {
-                let out = run_iteration(&comm, &mut state, shared, i).unwrap();
-                losses.push(out.loss);
-                last = Some(out.output);
-            }
-            (losses, state.experts, last.unwrap())
-        })
+    /// Train `iters` iterations with every block forced data-centric.
+    fn run_dc(cfg: &ExecConfig, iters: u64) -> TrainRun {
+        let opts = PlanOpts {
+            policy: ParadigmPolicy::DataCentric,
+            ..PlanOpts::default()
+        };
+        Trainer::new(cfg, &opts).run(iters)
     }
 
     #[test]
     fn iteration_runs_and_loss_decreases() {
-        let cfg = ExecConfig::small();
-        for (losses, _, _) in run_dc(&cfg, 4) {
+        for losses in run_dc(&ExecConfig::small(), 4).losses {
             assert!(losses.iter().all(|l| l.is_finite()));
             assert!(
                 losses.last().unwrap() < losses.first().unwrap(),
@@ -786,22 +733,18 @@ mod tests {
 
     #[test]
     fn cache_hits_confirm_hierarchical_fetching() {
-        let cfg = ExecConfig::small();
-        let shared = MachineShared::for_cluster(&cfg);
-        run_workers(cfg.world(), |comm| {
-            let mut state = WorkerState::init(&cfg, comm.rank());
-            let sh = &shared[cfg.machine_of(comm.rank())];
-            run_iteration(&comm, &mut state, sh, 0).unwrap();
-        });
         // Each machine has 4 external experts over 2 blocks = 8 fetches;
         // the sibling worker reads them from the cache (8 hits minimum).
-        for sh in &shared {
-            let stats = sh.cache.stats();
-            assert_eq!(stats.fetches, 8, "one fetch per external expert per block");
+        // Every worker reports its machine's cache totals.
+        for c in run_dc(&ExecConfig::small(), 1).comm {
+            assert_eq!(
+                c.cache_fetches, 8,
+                "one fetch per external expert per block"
+            );
             assert!(
-                stats.hits >= 8,
+                c.cache_hits >= 8,
                 "siblings must hit the cache, got {}",
-                stats.hits
+                c.cache_hits
             );
         }
     }
@@ -813,7 +756,7 @@ mod tests {
             gpus_per_machine: 4,
             ..ExecConfig::small()
         };
-        for (losses, _, _) in run_dc(&cfg, 2) {
+        for losses in run_dc(&cfg, 2).losses {
             assert!(losses[1] < losses[0]);
         }
     }
@@ -825,7 +768,7 @@ mod tests {
             gpus_per_machine: 1,
             ..ExecConfig::small()
         };
-        for (losses, _, _) in run_dc(&cfg, 2) {
+        for losses in run_dc(&cfg, 2).losses {
             assert!(losses[1] < losses[0]);
         }
     }
@@ -833,9 +776,8 @@ mod tests {
     #[test]
     fn nonuniform_expert_counts_work() {
         // The mixed config's blocks have different expert counts; the
-        // pure data-centric engine must handle the per-block layout.
-        let cfg = ExecConfig::mixed_paradigms();
-        for (losses, _, _) in run_dc(&cfg, 2) {
+        // data-centric bodies must handle the per-block layout.
+        for losses in run_dc(&ExecConfig::mixed_paradigms(), 2).losses {
             assert!(losses.iter().all(|l| l.is_finite()));
         }
     }

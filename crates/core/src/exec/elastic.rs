@@ -1,61 +1,78 @@
-//! Elastic expert migration: survive permanent rank loss and hot-expert
-//! skew via live re-placement at iteration boundaries.
+//! The round loop: checkpoint-bounded rounds that survive crashed ranks,
+//! permanent rank loss, and hot-expert skew.
 //!
-//! The driver slices training into rounds of `ckpt_every` iterations
-//! (the [`supervisor`](crate::exec::supervisor) round model) and, at a
-//! round boundary, may install a new [`Placement`] epoch:
+//! [`Trainer::run_rounds`] slices training into *rounds* of `ckpt_every`
+//! iterations. Each round runs on a fresh transport mesh
+//! (`Reliable<Faulty<Monitor<Local>>>` — fault injection above the
+//! liveness monitor, so heartbeats neither perturb the fault schedule
+//! nor are themselves dropped before the board sees silence). Every live
+//! rank runs the trainer's span body — restore from the round's starting
+//! cut (or initialize fresh at iteration 0), iterate, return the
+//! end-of-round checkpoint *in its result* — and the driver commits a cut
+//! to the [`CkptStore`] only when **every** live rank finished, so a
+//! crash can never leave a torn, partially-written cut behind.
+//!
+//! **Recovery.** When a rank dies (an injected
+//! [`CrashPoint`](janus_comm::CrashPoint) or any other panic), the
+//! runtime marks it dead on the mesh health board and peers blocked on
+//! it fail fast with [`janus_comm::CommError::PeerDead`]. The driver
+//! disarms the crash points that fired, counts a recovery in the
+//! [`RecoveryReport`], and replays the round from the last committed cut
+//! — a bitwise snapshot at an iteration boundary, where the
+//! end-of-iteration double barrier plus transport flush leave no
+//! in-flight protocol state. The replay is therefore the computation the
+//! fault-free run performs, and the recovered run is bitwise identical
+//! to it.
+//!
+//! **Elasticity.** At a round boundary the driver may install a new
+//! [`Placement`] epoch:
 //!
 //! * **Skew migration.** A deterministic routing probe ([`expert_loads`])
 //!   prices every expert's load offline; when the max/mean live-rank
 //!   load ratio crosses `skew_ratio`, the round starts with
 //!   [`Placement::rebalance`] and the affected experts are shipped live
 //!   — bitwise, via the checkpoint wire encoding of expert state
-//!   ([`expert_to_bytes`]) — over the reliable transport to their new
-//!   owners.
+//!   ([`expert_to_bytes`]) — to their new owners.
 //! * **Graceful degradation.** When a rank dies permanently (a
 //!   [`PermanentDeath`] in the schedule, standing in for the liveness
 //!   monitor's unrecoverable-death verdict), the failed round is
-//!   replayed from the last committed cut under [`Placement::drain`]:
-//!   the dead rank's experts are re-apportioned across survivors, their
-//!   weights recovered from the dead rank's last committed checkpoint
-//!   (or the deterministic init at iteration 0), and training completes
-//!   without the dead rank's tokens.
+//!   replayed under [`Placement::drain`]: the dead rank's experts are
+//!   re-apportioned across survivors, their weights recovered from its
+//!   last committed checkpoint (or the deterministic init at iteration
+//!   0), and training completes without the dead rank's tokens.
 //!
 //! Every placement change commits through a barrier tagged with the new
-//! epoch before any iteration runs under it, and a round's results are
-//! only committed when **all** live ranks finish — so a death during
-//! the migration exchange tears down the attempt with the mesh, the
-//! placement is *not* installed, and the retry at the same boundary
-//! (now draining the new corpse) starts again from the committed cut.
-//! Routing can therefore never observe a torn placement.
+//! epoch before any iteration runs under it, so a death during the
+//! migration exchange tears the attempt down with the mesh: the
+//! placement is *not* installed, and the retry (now draining the new
+//! corpse) starts again from the committed cut. Routing can never
+//! observe a torn placement.
 //!
-//! Determinism: placements are pure functions of (config, death/skew
-//! evidence), expert blobs are bitwise snapshots, and the post-migration
-//! cut each rank captures right after the commit barrier is returned to
-//! the caller — the chaos tests restart reference runs from those cuts
-//! and assert the continuation is bitwise identical.
+//! A supervised run is this loop with no deaths and `skew_ratio = ∞`
+//! (the [`RoundOpts`] default). The post-migration cut each rank
+//! captures right after the commit barrier is returned to the caller;
+//! the chaos tests restart reference runs from those cuts
+//! ([`Trainer::run_from`]) and assert the continuation is bitwise
+//! identical.
 
-use crate::ckpt::{Checkpoint, CkptStore};
+use crate::ckpt::{Checkpoint, CheckpointPolicy, CkptStore};
 use crate::exec::data_centric::MachineShared;
-use crate::exec::model::{CommSnapshot, ExecConfig, WorkerState};
-use crate::exec::supervisor::{disarm, INJECTED_CRASH_MARKER};
-use crate::exec::trainer::{collect, TrainRun};
-use crate::exec::unified;
+use crate::exec::model::{ExecConfig, WorkerState};
+use crate::exec::supervisor::{disarm, RankRecovery, RecoveryReport, INJECTED_CRASH_MARKER};
+use crate::exec::trainer::{collect, SpanOut, TrainRun, Trainer};
 use crate::exec::weights::{expert_from_bytes, expert_to_bytes};
 use crate::placement::{Move, Placement};
-use crate::plan::{IterationPlan, PlanOpts};
 use bytes::Bytes;
 use janus_comm::collectives::barrier_among;
 use janus_comm::liveness::monitor_mesh;
 use janus_comm::local::local_mesh;
-use janus_comm::runtime::{run_on, run_on_result};
+use janus_comm::runtime::run_on_result;
 use janus_comm::{
-    Comm, CrashAt, FaultPlan, FaultyTransport, LivenessConfig, Message, ReliableTransport,
-    RetransmitPolicy, Transport,
+    Comm, CrashAt, CrashPoint, FaultPlan, FaultyTransport, LivenessConfig, Message,
+    ReliableTransport, RetransmitPolicy, Transport,
 };
-use janus_moe::expert::ExpertFfn;
-use janus_tensor::Matrix;
 use std::collections::HashMap;
+use std::time::Instant;
 
 /// Deterministic gate bias: adds `boost` to the gate weight column of
 /// one expert on every rank, making it run hot. The skew chaos tests use
@@ -83,18 +100,23 @@ pub struct PermanentDeath {
     pub during_migration: bool,
 }
 
-/// Elastic driver knobs.
+/// Round-driver knobs. The defaults are a supervised run: crash recovery
+/// on, no skew trigger, no scheduled deaths.
 #[derive(Debug, Clone)]
-pub struct ElasticOpts {
-    /// Round length: placement changes and checkpoint cuts happen every
-    /// `ckpt_every` completed iterations.
+pub struct RoundOpts {
+    /// Round length: a checkpoint cut is committed every `ckpt_every`
+    /// completed iterations — the replay granularity after a crash and
+    /// the only boundary a placement can change at.
     pub ckpt_every: u64,
-    /// Failed rounds tolerated before giving up.
+    /// How many failed rounds the driver will recover from before giving
+    /// up and surfacing the failure.
     pub max_recoveries: u32,
     /// Reliability policy for the per-round transport stack.
     pub retransmit: RetransmitPolicy,
-    /// Liveness policy (heartbeats detect silent deaths; panics are
-    /// detected by the runtime either way).
+    /// Liveness policy for the per-round transport stack. The default
+    /// (heartbeats off) still detects panics — the runtime marks dead
+    /// ranks on the health board directly; enable heartbeats to also
+    /// suspect silently wedged peers.
     pub liveness: LivenessConfig,
     /// Skew trigger: rebalance when max/mean live-rank probe load
     /// exceeds this ratio. `INFINITY` disables skew migration.
@@ -108,9 +130,9 @@ pub struct ElasticOpts {
     pub deaths: Vec<PermanentDeath>,
 }
 
-impl Default for ElasticOpts {
+impl Default for RoundOpts {
     fn default() -> Self {
-        ElasticOpts {
+        RoundOpts {
             ckpt_every: 1,
             max_recoveries: 8,
             retransmit: RetransmitPolicy::default(),
@@ -164,30 +186,45 @@ pub struct ElasticReport {
     pub final_placement_digest: u64,
 }
 
-/// A committed post-migration checkpoint cut: every live rank's state at
-/// `at_iter`, captured immediately after the epoch's commit barrier.
-/// Reference runs restart from here via [`resume_from_cut`].
-pub struct MigratedCut {
-    /// Iteration boundary the placement was installed at.
+/// A checkpoint cut: where every rank of a run stands at an iteration
+/// boundary. The round driver returns one per committed epoch (every
+/// live rank's state at `at_iter`, captured immediately after the
+/// epoch's commit barrier); [`Trainer::run_from`] starts a run from one.
+pub struct Cut {
+    /// Iteration boundary the cut was taken at.
     pub at_iter: u64,
-    /// The installed placement.
+    /// The placement the ranks hold at the cut.
     pub placement: Placement,
-    /// Per-rank checkpoint bytes (`None` for dead ranks).
+    /// Per-rank checkpoint bytes (`None` for dead ranks, and for every
+    /// rank of a [`fresh`](Cut::fresh) cut).
     pub ckpts: Vec<Option<Bytes>>,
 }
 
-/// Everything an elastic run produces.
-pub struct ElasticOutcome {
-    /// The compiled plan (placement-free base; per-epoch plan digests
-    /// are in the report).
-    pub plan: IterationPlan,
+impl Cut {
+    /// The cut before iteration 0 under `placement`: every live rank
+    /// starts from the deterministic init, which is bit-identical under
+    /// any placement.
+    pub fn fresh(placement: Placement) -> Cut {
+        let ckpts = vec![None; placement.world()];
+        Cut {
+            at_iter: 0,
+            placement,
+            ckpts,
+        }
+    }
+}
+
+/// Everything a run under the round driver produces.
+pub struct RoundsOutcome {
     /// The finished training run (dead ranks contribute their committed
-    /// prefix and empty final output/experts).
+    /// prefix; `ckpts` holds the last committed cut).
     pub run: TrainRun,
+    /// What crash recovery cost.
+    pub recovery: RecoveryReport,
     /// The migration ledger.
-    pub report: ElasticReport,
+    pub elastic: ElasticReport,
     /// Post-migration cuts, one per committed epoch.
-    pub cuts: Vec<MigratedCut>,
+    pub cuts: Vec<Cut>,
 }
 
 /// Deterministic offline load probe: `loads[b][e]` is the number of
@@ -270,414 +307,369 @@ fn mig_seq(b: usize, e: usize) -> u64 {
     (1u64 << 63) | ((b as u64) << 32) | e as u64
 }
 
-/// Train `iters` iterations elastically: skew rebalances and permanent
-/// deaths re-place experts at round boundaries, transient injected
-/// `faults` are recovered supervisor-style, and the returned outcome
-/// carries the post-migration cuts for bitwise reference runs.
-pub fn train_elastic(
-    cfg: &ExecConfig,
-    opts: &PlanOpts,
-    el: &ElasticOpts,
-    iters: u64,
-    faults: FaultPlan,
-) -> Result<ElasticOutcome, String> {
-    assert!(iters > 0, "elastic training needs at least one iteration");
-    let plan = cfg.compile_plan(opts);
-    let digest = plan.digest();
-    let world = cfg.world();
-    let round_len = el.ckpt_every.max(1);
-    let loads = expert_loads(cfg, el.skew.as_ref());
+/// One rank's outcome of one round: `Ok(Some((span, cut)))` when it
+/// finished (`cut` is the post-migration checkpoint at the round's start,
+/// captured right after the epoch commit barrier when the round installed
+/// a new placement), `Ok(None)` when it is dead in the round's target
+/// placement, `Err(panic message)` when it died.
+type RoundResult = Result<Option<(SpanOut, Option<Bytes>)>, String>;
 
-    let store = CkptStore::new();
-    let mut pending_faults = faults;
-    let mut deaths = el.deaths.clone();
-    let mut placement = WorkerState::balanced_placement(cfg);
-    // (table, reason, moves) of a placement change waiting to commit;
-    // survives failed attempts so a drain is never lost.
-    let mut pending_target: Option<(Placement, String, usize)> = None;
-    let mut report = ElasticReport::default();
-    let mut cuts: Vec<MigratedCut> = Vec::new();
-    let mut losses: Vec<Vec<f32>> = vec![Vec::new(); world];
-    let mut comm_totals: Vec<CommSnapshot> = vec![CommSnapshot::default(); world];
-    let mut last_round: Vec<Option<(Matrix, Vec<Vec<ExpertFfn>>)>> =
-        (0..world).map(|_| None).collect();
-    let mut recoveries_left = el.max_recoveries;
-    let mut start: u64 = 0;
-
-    while start < iters {
-        let end = (start + round_len).min(iters);
-        // Plan this round's placement: a pending drain (from a death in
-        // the previous attempt) wins; otherwise consult the skew trigger.
-        if pending_target.is_none() && el.skew_ratio.is_finite() {
-            let ratio = skew_ratio(&placement, &loads);
-            if ratio > el.skew_ratio {
-                let (next, moves) = placement.rebalance(&loads, el.max_moves);
-                if !moves.is_empty() {
-                    pending_target = Some((
-                        next,
-                        format!("skew rebalance (load ratio {ratio:.2})"),
-                        moves.len(),
-                    ));
-                }
-            }
-        }
-        let (target, reason, n_moves) = match &pending_target {
-            Some((t, r, m)) => (t.clone(), r.clone(), *m),
-            None => (placement.clone(), String::new(), 0),
-        };
-
-        // Orphan blobs: experts whose previous owner is dead in the
-        // target. Recovered from the corpse's last committed checkpoint,
-        // or from the deterministic init when nothing was committed yet.
-        let moves = placement_moves(&placement, &target);
-        let mut orphans: HashMap<(usize, usize), Bytes> = HashMap::new();
-        for mv in moves.iter().filter(|m| !target.is_live(m.from)) {
-            let expert = if start == 0 {
-                WorkerState::reference_expert(cfg, mv.block, mv.expert)
-            } else {
-                let bytes = store
-                    .get(mv.from, start)
-                    .expect("dead rank's cut was committed before it died");
-                let ckpt = Checkpoint::from_bytes(&bytes)
-                    .map_err(|e| format!("recovering rank {} cut {start}: {e}", mv.from))?;
-                let local = ckpt.effective_placement().local_index(mv.block, mv.expert);
-                ckpt.experts[mv.block][local].clone()
-            };
-            orphans.insert((mv.block, mv.expert), expert_to_bytes(&expert));
-        }
-
-        let round_deaths: Vec<PermanentDeath> = deaths
-            .iter()
-            .filter(|d| target.is_live(d.rank) && d.at_iter >= start && d.at_iter < end)
-            .copied()
-            .collect();
-        let migrating = target != placement;
-        let results = run_elastic_round(RoundSpec {
-            cfg,
-            plan: &plan,
-            el,
-            store: &store,
-            faults: &pending_faults,
-            digest,
-            start,
-            end,
-            prev: &placement,
-            target: &target,
-            orphans: &orphans,
-            deaths: &round_deaths,
-        });
-
-        let failed: Vec<(usize, String)> = results
-            .iter()
-            .enumerate()
-            .filter(|(rank, _)| target.is_live(*rank))
-            .filter_map(|(rank, r)| match r {
-                Err(msg) => Some((rank, msg.clone())),
-                Ok(_) => None,
-            })
-            .collect();
-
-        if failed.is_empty() {
-            let mut cut_ckpts: Vec<Option<Bytes>> = vec![None; world];
-            for (rank, r) in results.into_iter().enumerate() {
-                let Ok(Some(out)) = r else { continue };
-                losses[rank].extend(out.losses);
-                comm_totals[rank].accumulate(&out.comm);
-                store.put(rank, end, out.ckpt);
-                last_round[rank] = Some((out.output, out.experts));
-                cut_ckpts[rank] = out.migrated_cut;
-            }
-            if migrating {
-                report.epochs.push(EpochCommit {
-                    epoch: target.epoch,
-                    at_iter: start,
-                    placement_digest: target.digest(),
-                    plan_digest: plan.clone().with_placement(target.clone()).digest(),
-                    moves: n_moves,
-                    reason,
-                });
-                cuts.push(MigratedCut {
-                    at_iter: start,
-                    placement: target.clone(),
-                    ckpts: cut_ckpts,
-                });
-                placement = target;
-                pending_target = None;
-            }
-            start = end;
-            continue;
-        }
-
-        // A rank died. Permanent deaths drain the corpse from the
-        // *committed* placement (a torn migration was never installed);
-        // transient injected crashes are disarmed; either way the round
-        // replays from the committed cut and the retry re-plans the
-        // placement change.
-        if migrating {
-            report.aborted_migrations += 1;
-        }
-        let mut drained = placement.clone();
-        let mut drain_reasons = Vec::new();
-        for (rank, msg) in &failed {
-            if let Some(pos) = deaths.iter().position(|d| d.rank == *rank) {
-                deaths.remove(pos);
-                report.dead_ranks.push(*rank);
-                drained = drained.drain(*rank);
-                drain_reasons.push(format!("drain rank {rank}"));
-            } else if msg.contains(INJECTED_CRASH_MARKER) {
-                disarm(&mut pending_faults, *rank, msg);
-            }
-        }
-        if !drain_reasons.is_empty() {
-            let n = placement_moves(&placement, &drained).len();
-            pending_target = Some((drained, drain_reasons.join(", "), n));
-        }
-        // else: keep any pending skew migration — the crash was
-        // transient and the retry installs the same table.
-        if recoveries_left == 0 {
-            let detail: Vec<String> = failed
-                .iter()
-                .map(|(rank, msg)| format!("rank {rank}: {msg}"))
-                .collect();
-            return Err(format!(
-                "elastic driver gave up after {} recoveries; last failures: {}",
-                el.max_recoveries,
-                detail.join("; ")
-            ));
-        }
-        recoveries_left -= 1;
-        report.recoveries += 1;
-        report.replayed_iterations += end - start;
-        janus_obs::global().count("janus_migration_aborts_total", u64::from(migrating));
-    }
-
-    report.degraded = placement.live_count() < world;
-    report.final_placement_digest = placement.digest();
-    let totals = comm_totals
-        .iter()
-        .fold(CommSnapshot::default(), |mut t, c| {
-            t.accumulate(c);
-            t
-        });
-    report.migrations = totals.migrations;
-    report.migration_bytes = totals.migration_bytes;
-    report.dead_ranks.sort_unstable();
-    let results = last_round
-        .into_iter()
-        .zip(losses)
-        .zip(comm_totals)
-        .map(|((round, l), comm)| {
-            let (output, experts) = round.unwrap_or((Matrix::zeros(0, 0), Vec::new()));
-            (l, output, experts, comm)
-        })
-        .collect();
-    Ok(ElasticOutcome {
-        plan,
-        run: collect(results),
-        report,
-        cuts,
-    })
-}
-
-/// Restart training from a committed post-migration cut on a fresh,
-/// fault-free mesh and run it to `iters`. The chaos tests assert this
-/// reference continuation is bitwise identical to the elastic run past
-/// the cut: a run *started from* the migrated placement and a run
-/// *migrated onto* it are the same computation.
-pub fn resume_from_cut(
-    cfg: &ExecConfig,
-    opts: &PlanOpts,
-    skew: Option<&GateSkew>,
-    cut: &MigratedCut,
-    iters: u64,
-) -> TrainRun {
-    let plan = cfg.compile_plan(opts);
-    let shared = MachineShared::for_cluster_placed(cfg, &cut.placement);
-    let results = run_on(local_mesh(cfg.world()), |comm| {
-        let rank = comm.rank();
-        if !cut.placement.is_live(rank) {
-            return (
-                Vec::new(),
-                Matrix::zeros(0, 0),
-                Vec::new(),
-                CommSnapshot::default(),
-            );
-        }
-        let mut state = WorkerState::init_placed(cfg, rank, cut.placement.clone());
-        if let Some(s) = skew {
-            apply_gate_skew(&mut state, s);
-        }
-        let bytes = cut.ckpts[rank].as_ref().expect("live ranks have cut bytes");
-        let ckpt = Checkpoint::from_bytes(bytes)
-            .unwrap_or_else(|e| panic!("rank {rank} reading cut {}: {e}", cut.at_iter));
-        ckpt.restore(&mut state)
-            .unwrap_or_else(|e| panic!("rank {rank} restoring cut {}: {e}", cut.at_iter));
-        let sh = &shared[cfg.machine_of(rank)];
-        let mut losses = Vec::new();
-        let mut output = None;
-        for i in cut.at_iter..iters {
-            let out = unified::run_iteration(&comm, &mut state, sh, &plan, i)
-                .unwrap_or_else(|e| panic!("rank {rank} at iteration {i}: {e}"));
-            losses.push(out.loss);
-            output = Some(out.output);
-        }
-        (
-            losses,
-            output.expect("reference runs are non-empty"),
-            state.experts,
-            state.comm.snapshot(),
-        )
-    });
-    collect(results)
-}
-
-/// One live rank's take from one elastic round (`None`: the rank is
-/// dead in the round's target placement and did not participate).
-struct ElasticRoundOut {
-    losses: Vec<f32>,
-    output: Matrix,
-    experts: Vec<Vec<ExpertFfn>>,
-    comm: CommSnapshot,
-    ckpt: Bytes,
-    /// Post-migration checkpoint at the round's start iteration,
-    /// captured right after the epoch commit barrier (only when this
-    /// round installed a new placement).
-    migrated_cut: Option<Bytes>,
-}
-
-struct RoundSpec<'a> {
-    cfg: &'a ExecConfig,
-    plan: &'a IterationPlan,
-    el: &'a ElasticOpts,
-    store: &'a CkptStore,
+/// One `[start, end)` round as every rank sees it.
+struct Round<'a> {
+    opts: &'a RoundOpts,
     faults: &'a FaultPlan,
-    digest: u64,
-    start: u64,
+    /// The committed cut the ranks restore from, under its placement.
+    from: &'a Cut,
     end: u64,
-    prev: &'a Placement,
+    /// Placement the round runs under; differs from the cut's when the
+    /// round opens with a migration.
     target: &'a Placement,
+    /// Blobs of moved experts whose previous owner is dead in `target`.
     orphans: &'a HashMap<(usize, usize), Bytes>,
+    /// Permanent deaths still scheduled (this round's and later ones).
     deaths: &'a [PermanentDeath],
 }
 
-fn run_elastic_round(spec: RoundSpec<'_>) -> Vec<Result<Option<ElasticRoundOut>, String>> {
-    let RoundSpec {
-        cfg,
-        plan,
-        el,
-        store,
-        faults,
-        digest,
-        start,
-        end,
-        prev,
-        target,
-        orphans,
-        deaths,
-    } = spec;
-    let world = cfg.world();
-    let mesh: Vec<_> = monitor_mesh(local_mesh(world), el.liveness)
-        .into_iter()
-        .map(|t| {
-            ReliableTransport::with_policy(FaultyTransport::new(t, faults.clone()), el.retransmit)
-        })
-        .collect();
-    let shared = MachineShared::for_cluster_placed(cfg, target);
-    run_on_result(mesh, |comm| -> Option<ElasticRoundOut> {
-        let rank = comm.rank();
-        if !target.is_live(rank) {
-            // Permanently dead: contribute nothing. Live peers never
-            // address dead ranks, so the early exit is silent.
-            return None;
-        }
-        let mut state = WorkerState::init_placed(cfg, rank, prev.clone());
-        if let Some(s) = &el.skew {
-            apply_gate_skew(&mut state, s);
-        }
-        if start > 0 {
-            let bytes = store
-                .get(rank, start)
-                .expect("restore point was committed by the driver");
-            let ckpt = Checkpoint::from_bytes(&bytes)
-                .unwrap_or_else(|e| panic!("rank {rank} restoring cut {start}: {e}"));
-            assert_eq!(
-                ckpt.plan_digest, digest,
-                "rank {rank}: checkpoint belongs to a different plan"
-            );
-            ckpt.restore(&mut state)
-                .unwrap_or_else(|e| panic!("rank {rank} restoring cut {start}: {e}"));
-        }
-        let my_death = deaths.iter().find(|d| d.rank == rank).copied();
-        let migrated_cut = if target != prev {
-            let die_mid = my_death.is_some_and(|d| d.during_migration);
-            migrate(&comm, &mut state, prev, target, orphans, die_mid, start);
-            state.comm.record_epoch_bump();
-            janus_obs::global().count("janus_migration_epochs_total", 1);
-            Some(Checkpoint::capture(&state, start, digest).to_bytes())
-        } else {
-            None
+impl Trainer {
+    /// Train `iters` iterations in checkpoint-bounded rounds, injecting
+    /// `faults` (including [`janus_comm::CrashPoint`]s): failed rounds
+    /// are replayed from the last committed cut, skew rebalances and
+    /// permanent deaths re-place experts at round boundaries. Returns the
+    /// finished run with both ledgers and the post-migration cuts — or an
+    /// error once `max_recoveries` attempts have been spent.
+    ///
+    /// The headline properties (asserted by the chaos tests): without
+    /// deaths or a skew trigger the run's losses, outputs, and final
+    /// weights are **bitwise identical** to a fault-free
+    /// [`Trainer::run`], regardless of where the crashes struck; with
+    /// them, the continuation past every committed cut is bitwise the
+    /// [`Trainer::run_from`] reference started from that cut.
+    pub fn run_rounds(
+        &self,
+        opts: &RoundOpts,
+        iters: u64,
+        faults: FaultPlan,
+    ) -> Result<RoundsOutcome, String> {
+        assert!(iters > 0, "training needs at least one iteration");
+        let cfg = self.cfg();
+        let world = cfg.world();
+        let round_len = opts.ckpt_every.max(1);
+        // Only the skew trigger consults the probe.
+        let loads = opts
+            .skew_ratio
+            .is_finite()
+            .then(|| expert_loads(cfg, opts.skew.as_ref()));
+
+        let store = CkptStore::new();
+        let mut pending_faults = faults;
+        let mut deaths = opts.deaths.clone();
+        let mut placement = WorkerState::balanced_placement(cfg);
+        // (table, reason, moves) of a placement change waiting to commit;
+        // survives failed attempts so a drain is never lost.
+        let mut pending_target: Option<(Placement, String, usize)> = None;
+        let mut elastic = ElasticReport::default();
+        let mut recovery = RecoveryReport {
+            per_rank: vec![RankRecovery::default(); world],
+            ..RecoveryReport::default()
         };
-        if target.live_count() < world {
-            state.comm.set_degraded();
+        let mut cuts: Vec<Cut> = Vec::new();
+        // Committed progress per rank: loss history and counters so far,
+        // plus the last committed round's output/experts/checkpoint.
+        let mut committed: Vec<Option<SpanOut>> = (0..world).map(|_| None).collect();
+        let mut recoveries_left = opts.max_recoveries;
+        // Set after a failed attempt so the next committing attempt is
+        // timed as the recovery.
+        let mut recovering_since: Option<Instant> = None;
+        let mut start: u64 = 0;
+
+        while start < iters {
+            let end = (start + round_len).min(iters);
+            // Plan this round's placement: a pending drain (from a death
+            // in the previous attempt) wins; otherwise consult the skew
+            // trigger.
+            if let (None, Some(loads)) = (&pending_target, &loads) {
+                let ratio = skew_ratio(&placement, loads);
+                if ratio > opts.skew_ratio {
+                    let (next, moves) = placement.rebalance(loads, opts.max_moves);
+                    if !moves.is_empty() {
+                        pending_target = Some((
+                            next,
+                            format!("skew rebalance (load ratio {ratio:.2})"),
+                            moves.len(),
+                        ));
+                    }
+                }
+            }
+            let (target, reason, n_moves) = match &pending_target {
+                Some((t, r, m)) => (t.clone(), r.clone(), *m),
+                None => (placement.clone(), String::new(), 0),
+            };
+
+            // Orphan blobs: experts whose previous owner is dead in the
+            // target. Recovered from the corpse's last committed
+            // checkpoint, or from the deterministic init when nothing was
+            // committed yet.
+            let moves = placement_moves(&placement, &target);
+            let mut orphans: HashMap<(usize, usize), Bytes> = HashMap::new();
+            for mv in moves.iter().filter(|m| !target.is_live(m.from)) {
+                let expert = if start == 0 {
+                    WorkerState::reference_expert(cfg, mv.block, mv.expert)
+                } else {
+                    let bytes = store
+                        .get(mv.from, start)
+                        .expect("dead rank's cut was committed before it died");
+                    let ckpt = Checkpoint::from_bytes(&bytes)
+                        .map_err(|e| format!("recovering rank {} cut {start}: {e}", mv.from))?;
+                    let local = ckpt.effective_placement().local_index(mv.block, mv.expert);
+                    ckpt.experts[mv.block][local].clone()
+                };
+                orphans.insert((mv.block, mv.expert), expert_to_bytes(&expert));
+            }
+
+            let migrating = target != placement;
+            let from = Cut {
+                at_iter: start,
+                placement: placement.clone(),
+                ckpts: (0..world).map(|r| store.get(r, start)).collect(),
+            };
+            let results = self.run_round(&Round {
+                opts,
+                faults: &pending_faults,
+                from: &from,
+                end,
+                target: &target,
+                orphans: &orphans,
+                deaths: &deaths,
+            });
+
+            let failed: Vec<(usize, String)> = results
+                .iter()
+                .enumerate()
+                .filter_map(|(rank, r)| match r {
+                    Err(msg) => Some((rank, msg.clone())),
+                    Ok(_) => None,
+                })
+                .collect();
+
+            if failed.is_empty() {
+                // Commit: every live rank finished the round, so the cut
+                // at `end` is complete and becomes the new restore point.
+                let mut cut_ckpts: Vec<Option<Bytes>> = vec![None; world];
+                for (rank, r) in results.into_iter().enumerate() {
+                    let Ok(Some((out, migrated_cut))) = r else {
+                        continue;
+                    };
+                    let ckpt = out.ckpt.clone().expect("rounds end on a cut");
+                    recovery.ckpts_written += 1;
+                    recovery.ckpt_bytes_written += ckpt.len() as u64;
+                    recovery.per_rank[rank].ckpts_written += 1;
+                    store.put(rank, end, ckpt);
+                    cut_ckpts[rank] = migrated_cut;
+                    match &mut committed[rank] {
+                        Some(so_far) => so_far.absorb(out),
+                        slot => *slot = Some(out),
+                    }
+                }
+                if let Some(since) = recovering_since.take() {
+                    // Only restores from a committed cut count; replays
+                    // of round 0 re-initialize instead. Restores are
+                    // tallied when the replay commits (here), bytes when
+                    // it begins (below).
+                    if start > 0 {
+                        for rank in (0..world).filter(|&r| target.is_live(r)) {
+                            recovery.ckpts_restored += 1;
+                            recovery.per_rank[rank].ckpts_restored += 1;
+                        }
+                    }
+                    let us = since.elapsed().as_micros() as u64;
+                    recovery.recover_us.push(us);
+                    janus_obs::global().observe("janus_time_to_recover_us", us);
+                }
+                if migrating {
+                    elastic.epochs.push(EpochCommit {
+                        epoch: target.epoch,
+                        at_iter: start,
+                        placement_digest: target.digest(),
+                        plan_digest: self.plan().clone().with_placement(target.clone()).digest(),
+                        moves: n_moves,
+                        reason,
+                    });
+                    cuts.push(Cut {
+                        at_iter: start,
+                        placement: target.clone(),
+                        ckpts: cut_ckpts,
+                    });
+                    placement = target;
+                    pending_target = None;
+                }
+                start = end;
+                continue;
+            }
+
+            // At least one rank died. Permanent deaths drain the corpse
+            // from the *committed* placement (a torn migration was never
+            // installed); crash points that fired are disarmed; either
+            // way the round replays from the committed cut on the
+            // recovery budget. So does a panic without the marker (a
+            // genuine bug, or collateral damage from a peer's death): a
+            // deterministic one exhausts `max_recoveries` and surfaces.
+            if migrating {
+                elastic.aborted_migrations += 1;
+            }
+            let mut drained = placement.clone();
+            let mut drain_reasons = Vec::new();
+            for (rank, msg) in &failed {
+                recovery.crashes += 1;
+                recovery.per_rank[*rank].crashes += 1;
+                if let Some(pos) = deaths.iter().position(|d| d.rank == *rank) {
+                    deaths.remove(pos);
+                    elastic.dead_ranks.push(*rank);
+                    drained = drained.drain(*rank);
+                    drain_reasons.push(format!("drain rank {rank}"));
+                } else if msg.contains(INJECTED_CRASH_MARKER) {
+                    disarm(&mut pending_faults, *rank, msg);
+                }
+            }
+            if !drain_reasons.is_empty() {
+                let n = placement_moves(&placement, &drained).len();
+                pending_target = Some((drained, drain_reasons.join(", "), n));
+            }
+            // else: keep any pending skew migration — the crash was
+            // transient and the retry installs the same table.
+            if recoveries_left == 0 {
+                let detail: Vec<String> = failed
+                    .iter()
+                    .map(|(rank, msg)| format!("rank {rank}: {msg}"))
+                    .collect();
+                return Err(format!(
+                    "round driver gave up after {} recoveries; last failures: {}",
+                    opts.max_recoveries,
+                    detail.join("; ")
+                ));
+            }
+            recoveries_left -= 1;
+            recovery.recoveries += 1;
+            recovery.replayed_iterations += end - start;
+            if start > 0 {
+                recovery.ckpt_bytes_restored += (0..world)
+                    .map(|r| store.get(r, start).map_or(0, |b| b.len() as u64))
+                    .sum::<u64>();
+            }
+            janus_obs::global().count("janus_recoveries_total", 1);
+            janus_obs::global().count("janus_migration_aborts_total", u64::from(migrating));
+            // Keep an already-running recovery timer: back-to-back
+            // failures are one outage from the run's point of view.
+            recovering_since.get_or_insert_with(Instant::now);
         }
-        let my_iter_crashes: Vec<u64> = faults
-            .crashes
-            .iter()
-            .filter(|c| c.rank == rank)
-            .filter_map(|c| match c.at {
-                CrashAt::Iteration(i) => Some(i),
-                CrashAt::SendOp(_) => None,
+
+        let run = collect(committed);
+        let totals = run.comm_totals();
+        elastic.recoveries = recovery.recoveries;
+        elastic.replayed_iterations = recovery.replayed_iterations;
+        elastic.degraded = placement.live_count() < world;
+        elastic.final_placement_digest = placement.digest();
+        elastic.migrations = totals.migrations;
+        elastic.migration_bytes = totals.migration_bytes;
+        elastic.dead_ranks.sort_unstable();
+        Ok(RoundsOutcome {
+            run,
+            recovery,
+            elastic,
+            cuts,
+        })
+    }
+
+    /// Run one round on a fresh mesh. A rank that *observes* a death
+    /// (e.g. `PeerDead` out of an iteration) converts it into a panic
+    /// too, so every round outcome is uniform.
+    fn run_round(&self, round: &Round<'_>) -> Vec<RoundResult> {
+        let cfg = self.cfg();
+        let world = cfg.world();
+        let (start, prev, target) = (round.from.at_iter, &round.from.placement, round.target);
+        let mesh: Vec<_> = monitor_mesh(local_mesh(world), round.opts.liveness)
+            .into_iter()
+            .map(|t| {
+                ReliableTransport::with_policy(
+                    FaultyTransport::new(t, round.faults.clone()),
+                    round.opts.retransmit,
+                )
             })
             .collect();
-        let sh = &shared[cfg.machine_of(rank)];
-        let mut losses = Vec::new();
-        let mut output = None;
-        for i in start..end {
-            if my_iter_crashes.contains(&i) {
-                janus_obs::global().count("janus_crashes_injected_total", 1);
-                panic!("{INJECTED_CRASH_MARKER}: rank {rank} at iteration {i}");
+        let shared = MachineShared::for_cluster_placed(cfg, target);
+        run_on_result(mesh, |comm| {
+            let rank = comm.rank();
+            if !target.is_live(rank) {
+                // Permanently dead: contribute nothing. Live peers never
+                // address dead ranks, so the early exit is silent.
+                return None;
             }
-            if my_death.is_some_and(|d| !d.during_migration && d.at_iter == i) {
-                janus_obs::global().count("janus_permanent_deaths_total", 1);
-                panic!("{INJECTED_CRASH_MARKER}: rank {rank} permanently dead at iteration {i}");
+            let mut state = self.enter(rank, round.from, round.opts.skew.as_ref());
+            let my_death = round
+                .deaths
+                .iter()
+                .find(|d| d.rank == rank && (start..round.end).contains(&d.at_iter));
+            let migrated_cut = (target != prev).then(|| {
+                let die_mid = my_death.is_some_and(|d| d.during_migration);
+                migrate(&comm, &mut state, round, die_mid);
+                state.comm.record_epoch_bump();
+                janus_obs::global().count("janus_migration_epochs_total", 1);
+                self.checkpoint(&state, start)
+            });
+            if target.live_count() < world {
+                state.comm.set_degraded();
             }
-            let out = unified::run_iteration(&comm, &mut state, sh, plan, i)
-                .unwrap_or_else(|e| panic!("rank {rank} at iteration {i}: {e}"));
-            losses.push(out.loss);
-            output = Some(out.output);
-        }
-        let _ = comm.transport().flush();
-        state.comm.record_transport(comm.transport().stats());
-        let ckpt = Checkpoint::capture(&state, end, digest).to_bytes();
-        Some(ElasticRoundOut {
-            losses,
-            output: output.expect("rounds are non-empty"),
-            experts: state.experts,
-            comm: state.comm.snapshot(),
-            ckpt,
-            migrated_cut,
+            let inject = |i: u64| {
+                let at = CrashAt::Iteration(i);
+                if round.faults.crashes.contains(&CrashPoint { rank, at }) {
+                    janus_obs::global().count("janus_crashes_injected_total", 1);
+                    panic!("{INJECTED_CRASH_MARKER}: rank {rank} at iteration {i}");
+                }
+                if my_death.is_some_and(|d| !d.during_migration && d.at_iter == i) {
+                    janus_obs::global().count("janus_permanent_deaths_total", 1);
+                    panic!(
+                        "{INJECTED_CRASH_MARKER}: rank {rank} permanently dead at iteration {i}"
+                    );
+                }
+            };
+            // Every boundary is a legal cut; the driver ends rounds only
+            // on the ones it commits.
+            let out = self.iterate(
+                &comm,
+                state,
+                &shared[cfg.machine_of(rank)],
+                start..round.end,
+                CheckpointPolicy::EveryN(1),
+                inject,
+            );
+            Some((out, migrated_cut))
         })
-    })
+    }
 }
 
-/// The live migration exchange, run by every rank live in `target`:
-/// ship departing experts bitwise (checkpoint wire encoding) over the
-/// reliable transport, collect arriving ones (from the wire, or from
-/// `orphans` when the previous owner is dead), re-shard the local state
-/// onto `target`, and commit the epoch through a barrier so no rank can
-/// start an iteration under the new table before every rank holds it.
+/// The live migration exchange opening `round`, run by every rank live
+/// in its target: ship departing experts bitwise (checkpoint wire
+/// encoding) over the reliable transport, collect arriving ones (from the
+/// wire, or from the orphans when the previous owner is dead), re-shard
+/// the local state onto the target, and commit the epoch through a
+/// barrier so no rank can start an iteration under the new table before
+/// every rank holds it.
 fn migrate<T: Transport>(
     comm: &Comm<T>,
     state: &mut WorkerState,
-    prev: &Placement,
-    target: &Placement,
-    orphans: &HashMap<(usize, usize), Bytes>,
+    round: &Round<'_>,
     die_mid: bool,
-    iter: u64,
 ) {
     let rank = comm.rank();
+    let (prev, target, iter) = (&round.from.placement, round.target, round.from.at_iter);
     let moves = placement_moves(prev, target);
-    let mut sent = 0u64;
+    // A rank scheduled to die mid-exchange does so after its first
+    // shipment, or at once when it has nothing to ship.
+    let die = || -> ! {
+        janus_obs::global().count("janus_permanent_deaths_total", 1);
+        panic!(
+            "{INJECTED_CRASH_MARKER}: rank {rank} permanently dead during migration at iteration {iter}"
+        );
+    };
     for mv in moves.iter().filter(|m| m.from == rank) {
         let local = state.local_index(mv.block, mv.expert);
         let blob = expert_to_bytes(&state.experts[mv.block][local]);
@@ -689,19 +681,12 @@ fn migrate<T: Transport>(
             },
         )
         .unwrap_or_else(|e| panic!("rank {rank} shipping expert {mv:?}: {e}"));
-        sent += 1;
         if die_mid {
-            janus_obs::global().count("janus_permanent_deaths_total", 1);
-            panic!(
-                "{INJECTED_CRASH_MARKER}: rank {rank} permanently dead during migration at iteration {iter}"
-            );
+            die();
         }
     }
-    if die_mid && sent == 0 {
-        janus_obs::global().count("janus_permanent_deaths_total", 1);
-        panic!(
-            "{INJECTED_CRASH_MARKER}: rank {rank} permanently dead during migration at iteration {iter}"
-        );
+    if die_mid {
+        die();
     }
     let mut blobs: HashMap<(usize, usize), Bytes> = HashMap::new();
     for mv in moves.iter().filter(|m| m.to == rank) {
@@ -718,7 +703,8 @@ fn migrate<T: Transport>(
                 _ => unreachable!("predicate admits only Collective"),
             }
         } else {
-            orphans
+            round
+                .orphans
                 .get(&key)
                 .unwrap_or_else(|| panic!("rank {rank}: no orphan blob for {mv:?}"))
                 .clone()
@@ -743,7 +729,7 @@ fn migrate<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::trainer::{diff_runs, train_unified};
+    use crate::plan::PlanOpts;
 
     fn small() -> ExecConfig {
         ExecConfig {
@@ -752,47 +738,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fault_free_elastic_run_matches_train_unified_bitwise() {
-        let cfg = small();
-        let out = train_elastic(
-            &cfg,
-            &PlanOpts::default(),
-            &ElasticOpts::default(),
-            3,
-            FaultPlan::default(),
-        )
-        .unwrap();
-        let baseline = train_unified(&cfg, 3);
-        let diff = diff_runs(&out.run, &baseline);
-        assert_eq!(diff.max_output_diff, 0.0, "{diff:?}");
-        assert_eq!(diff.max_weight_diff, 0.0, "{diff:?}");
-        assert_eq!(diff.max_loss_diff, 0.0, "{diff:?}");
-        assert!(out.report.epochs.is_empty());
-        assert!(!out.report.degraded);
-        assert_eq!(out.report.migrations, 0);
+    fn elastic(cfg: &ExecConfig, opts: &RoundOpts, iters: u64) -> (Trainer, RoundsOutcome) {
+        let trainer = Trainer::new(cfg, &PlanOpts::default());
+        let out = trainer
+            .run_rounds(opts, iters, FaultPlan::default())
+            .unwrap();
+        (trainer, out)
+    }
+
+    /// The reference continuation: a fresh, fault-free run started from
+    /// `cut`.
+    fn resume(trainer: &Trainer, cut: &Cut, skew: Option<&GateSkew>, iters: u64) -> TrainRun {
+        let mesh = local_mesh(trainer.cfg().world());
+        trainer.run_from(mesh, cut, skew, iters, CheckpointPolicy::Never)
     }
 
     #[test]
     fn permanent_death_drains_and_completes_degraded() {
         let cfg = small();
-        let el = ElasticOpts {
+        let el = RoundOpts {
             ckpt_every: 2,
             deaths: vec![PermanentDeath {
                 rank: 3,
                 at_iter: 2,
                 during_migration: false,
             }],
-            ..ElasticOpts::default()
+            ..RoundOpts::default()
         };
-        let out = train_elastic(&cfg, &PlanOpts::default(), &el, 4, FaultPlan::default()).unwrap();
-        assert!(out.report.degraded);
-        assert_eq!(out.report.dead_ranks, vec![3]);
-        assert_eq!(out.report.epochs.len(), 1, "{:?}", out.report.epochs);
-        assert_eq!(out.report.epochs[0].at_iter, 2);
-        assert!(out.report.epochs[0].reason.contains("drain rank 3"));
-        assert!(out.report.migrations > 0, "{:?}", out.report);
-        assert!(out.report.migration_bytes > 0);
+        let (_, out) = elastic(&cfg, &el, 4);
+        assert!(out.elastic.degraded);
+        assert_eq!(out.elastic.dead_ranks, vec![3]);
+        assert_eq!(out.elastic.epochs.len(), 1, "{:?}", out.elastic.epochs);
+        assert_eq!(out.elastic.epochs[0].at_iter, 2);
+        assert!(out.elastic.epochs[0].reason.contains("drain rank 3"));
+        assert!(out.elastic.migrations > 0, "{:?}", out.elastic);
+        assert!(out.elastic.migration_bytes > 0);
         // The dead rank's loss history stops at the committed cut; the
         // survivors trained to the end.
         assert_eq!(out.run.losses[3].len(), 2);
@@ -811,19 +791,19 @@ mod tests {
     #[test]
     fn degraded_run_is_bitwise_identical_to_resume_from_the_migrated_cut() {
         let cfg = small();
-        let el = ElasticOpts {
+        let el = RoundOpts {
             ckpt_every: 2,
             deaths: vec![PermanentDeath {
                 rank: 1,
                 at_iter: 3,
                 during_migration: false,
             }],
-            ..ElasticOpts::default()
+            ..RoundOpts::default()
         };
-        let out = train_elastic(&cfg, &PlanOpts::default(), &el, 6, FaultPlan::default()).unwrap();
-        assert!(out.report.degraded);
+        let (trainer, out) = elastic(&cfg, &el, 6);
+        assert!(out.elastic.degraded);
         let cut = &out.cuts[0];
-        let reference = resume_from_cut(&cfg, &PlanOpts::default(), None, cut, 6);
+        let reference = resume(&trainer, cut, None, 6);
         for rank in 0..cfg.world() {
             if !cut.placement.is_live(rank) {
                 continue;
@@ -863,23 +843,23 @@ mod tests {
             ratio > 1.2,
             "the bias must actually skew the probe: {ratio}"
         );
-        let el = ElasticOpts {
+        let el = RoundOpts {
             ckpt_every: 2,
             skew_ratio: 1.2,
             skew: Some(skew),
-            ..ElasticOpts::default()
+            ..RoundOpts::default()
         };
-        let out = train_elastic(&cfg, &PlanOpts::default(), &el, 4, FaultPlan::default()).unwrap();
-        assert!(!out.report.degraded);
-        assert!(!out.report.epochs.is_empty(), "skew never triggered");
-        assert!(out.report.epochs[0].reason.contains("skew rebalance"));
-        assert!(out.report.migrations > 0);
+        let (trainer, out) = elastic(&cfg, &el, 4);
+        assert!(!out.elastic.degraded);
+        assert!(!out.elastic.epochs.is_empty(), "skew never triggered");
+        assert!(out.elastic.epochs[0].reason.contains("skew rebalance"));
+        assert!(out.elastic.migrations > 0);
         // The rebalance spreads the probe load strictly better.
         let after = &out.cuts[0].placement;
         assert!(skew_ratio(after, &loads) < ratio, "rebalance did not help");
         // And the migrated run continues bitwise from its own cut.
         let cut = &out.cuts[0];
-        let reference = resume_from_cut(&cfg, &PlanOpts::default(), Some(&skew), cut, 4);
+        let reference = resume(&trainer, cut, Some(&skew), 4);
         for rank in 0..cfg.world() {
             let since_cut = &out.run.losses[rank][cut.at_iter as usize..];
             assert_eq!(since_cut, &reference.losses[rank][..], "rank {rank}");
@@ -901,7 +881,7 @@ mod tests {
         };
         // Rank 0 owns the skew-shedding experts of block 0 under the
         // balanced table, so it has blobs to ship — and dies mid-ship.
-        let el = ElasticOpts {
+        let el = RoundOpts {
             ckpt_every: 2,
             skew_ratio: 1.2,
             skew: Some(skew),
@@ -910,12 +890,12 @@ mod tests {
                 at_iter: 0,
                 during_migration: true,
             }],
-            ..ElasticOpts::default()
+            ..RoundOpts::default()
         };
-        let out = train_elastic(&cfg, &PlanOpts::default(), &el, 4, FaultPlan::default()).unwrap();
-        assert!(out.report.aborted_migrations >= 1, "{:?}", out.report);
-        assert!(out.report.degraded);
-        assert_eq!(out.report.dead_ranks, vec![0]);
+        let (_, out) = elastic(&cfg, &el, 4);
+        assert!(out.elastic.aborted_migrations >= 1, "{:?}", out.elastic);
+        assert!(out.elastic.degraded);
+        assert_eq!(out.elastic.dead_ranks, vec![0]);
         // The torn attempt was never installed: every committed epoch is
         // valid and the final placement excludes the corpse.
         for cut in &out.cuts {

@@ -8,18 +8,19 @@
 //! the two paradigms (and the unified engine mixing them) apply bitwise
 //! identical updates.
 //!
-//! The per-block bodies ([`forward_block`], [`backward_block`]) are the
-//! reusable units the unified engine dispatches to; [`run_iteration`]
-//! composes them for a pure expert-centric run. Both take a `service`
-//! callback that is offered every unrelated message arriving inside a
-//! collective — a no-op for pure runs, the data-centric protocol handler
-//! for mixed-paradigm runs.
+//! The per-block bodies ([`forward_block`], [`backward_block`]) are what
+//! [`unified::run_iteration`](crate::exec::unified::run_iteration)
+//! dispatches an expert-centric block to; an all-expert-centric run is a
+//! plan compiled with `ParadigmPolicy::ExpertCentric`. Both take a
+//! `service` callback that is offered every unrelated message arriving
+//! inside a collective — the data-centric protocol handler, so a worker
+//! inside an All-to-All never goes deaf to pulls and gradient pushes.
 
-use crate::exec::model::{loss_and_grad, ExecConfig, WorkerState};
+use crate::exec::model::{ExecConfig, WorkerState};
 use crate::exec::obs;
 use crate::exec::weights::{tokens_from_bytes, tokens_to_bytes, Slot};
 use crate::placement::Placement;
-use janus_comm::collectives::{all_to_all_among, barrier_among};
+use janus_comm::collectives::all_to_all_among;
 use janus_comm::{Comm, CommError, Message, Transport};
 use janus_moe::expert::{ExpertGrads, ExpertScratch};
 use janus_tensor::{pool, Matrix};
@@ -442,55 +443,6 @@ fn fold_like_dc(
     grad
 }
 
-/// Run one expert-centric training iteration.
-pub fn run_iteration<T: Transport>(
-    comm: &Comm<T>,
-    state: &mut WorkerState,
-    iter: u64,
-) -> Result<IterOutput, CommError> {
-    let blocks = state.cfg.blocks;
-    let lr = state.cfg.lr;
-    let iter_span = obs::span(state.rank, "iter", || {
-        (format!("iter/{iter}"), "iter".to_string())
-    });
-    let mut service = |_: usize, _: &Message| false;
-    let mut x = state.inputs.clone();
-    let mut tapes: Vec<BlockTapeEc> = Vec::with_capacity(blocks);
-
-    // ---- Forward ----
-    for b in 0..blocks {
-        let (y, tape) = forward_block(comm, state, b, iter, &x, &mut service)?;
-        tapes.push(tape);
-        x = y;
-    }
-
-    let (loss, mut dy) = loss_and_grad(&x);
-    let output = x;
-
-    // ---- Backward ----
-    let mut grads: Vec<Vec<ExpertGrads>> = (0..blocks).map(|_| Vec::new()).collect();
-    for b in (0..blocks).rev() {
-        let (dx, g) = backward_block(comm, state, b, iter, &tapes[b], &dy, &mut service)?;
-        grads[b] = g;
-        dy = dx;
-    }
-
-    // ---- Update ----
-    for (b, block_grads) in grads.iter().enumerate() {
-        for (local, g) in block_grads.iter().enumerate() {
-            state.experts[b][local].apply(g, lr);
-        }
-    }
-    let sync_span = obs::span(state.rank, "sync", || {
-        (format!("barrier/{iter}"), "sync".to_string())
-    });
-    barrier_among(comm, iter, &state.placement.live)?;
-    drop(sync_span);
-    state.comm.record_transport(comm.transport().stats());
-    drop(iter_span);
-    Ok(IterOutput { output, loss })
-}
-
 fn rows_to_matrix(rows: &[Vec<f32>], cols: usize) -> Matrix {
     let mut data = Vec::with_capacity(rows.len() * cols);
     for r in rows {
@@ -507,31 +459,32 @@ fn rows_to_matrix_one(row: &[f32]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use janus_comm::runtime::run_workers;
+    use crate::exec::trainer::{TrainRun, Trainer};
+    use crate::paradigm::ParadigmPolicy;
+    use crate::plan::PlanOpts;
+
+    /// Train `iters` iterations with every block forced expert-centric.
+    fn run_ec(cfg: &ExecConfig, iters: u64) -> TrainRun {
+        let opts = PlanOpts {
+            policy: ParadigmPolicy::ExpertCentric,
+            ..PlanOpts::default()
+        };
+        Trainer::new(cfg, &opts).run(iters)
+    }
 
     #[test]
     fn iteration_runs_and_losses_are_finite() {
         let cfg = ExecConfig::small();
-        let out = run_workers(cfg.world(), |comm| {
-            let mut state = WorkerState::init(&cfg, comm.rank());
-            run_iteration(&comm, &mut state, 0).unwrap()
-        });
-        for o in &out {
-            assert!(o.loss.is_finite() && o.loss > 0.0);
-            assert_eq!(o.output.shape(), (cfg.tokens, cfg.hidden_dim));
+        let run = run_ec(&cfg, 1);
+        for (losses, output) in run.losses.iter().zip(&run.outputs) {
+            assert!(losses[0].is_finite() && losses[0] > 0.0);
+            assert_eq!(output.shape(), (cfg.tokens, cfg.hidden_dim));
         }
     }
 
     #[test]
     fn loss_decreases_over_iterations() {
-        let cfg = ExecConfig::small();
-        let losses = run_workers(cfg.world(), |comm| {
-            let mut state = WorkerState::init(&cfg, comm.rank());
-            (0..5)
-                .map(|i| run_iteration(&comm, &mut state, i).unwrap().loss)
-                .collect::<Vec<_>>()
-        });
-        for per_worker in losses {
+        for per_worker in run_ec(&ExecConfig::small(), 5).losses {
             assert!(
                 per_worker.last().unwrap() < per_worker.first().unwrap(),
                 "loss did not decrease: {per_worker:?}"
@@ -543,37 +496,15 @@ mod tests {
     fn updated_weights_agree_across_repeat_runs() {
         // Determinism: two independent runs produce identical weights.
         let cfg = ExecConfig::small();
-        let run = || {
-            run_workers(cfg.world(), |comm| {
-                let mut state = WorkerState::init(&cfg, comm.rank());
-                for i in 0..3 {
-                    run_iteration(&comm, &mut state, i).unwrap();
-                }
-                state.experts
-            })
-        };
-        let a = run();
-        let b = run();
-        for (wa, wb) in a.iter().zip(&b) {
-            for (ba, bb) in wa.iter().zip(wb) {
-                for (ea, eb) in ba.iter().zip(bb) {
-                    assert_eq!(ea, eb);
-                }
-            }
-        }
+        assert_eq!(run_ec(&cfg, 3).experts, run_ec(&cfg, 3).experts);
     }
 
     #[test]
     fn per_block_layout_runs_with_nonuniform_experts() {
         // The mixed config has a different expert count per block; the
-        // expert-centric engine must handle it end to end.
-        let cfg = ExecConfig::mixed_paradigms();
-        let out = run_workers(cfg.world(), |comm| {
-            let mut state = WorkerState::init(&cfg, comm.rank());
-            run_iteration(&comm, &mut state, 0).unwrap()
-        });
-        for o in &out {
-            assert!(o.loss.is_finite() && o.loss > 0.0);
+        // expert-centric bodies must handle it end to end.
+        for losses in run_ec(&ExecConfig::mixed_paradigms(), 1).losses {
+            assert!(losses[0].is_finite() && losses[0] > 0.0);
         }
     }
 }

@@ -358,37 +358,9 @@ impl ExecConfig {
         self.machines * self.gpus_per_machine
     }
 
-    /// Experts per worker.
-    pub fn experts_per_worker(&self) -> usize {
-        assert_eq!(
-            self.experts % self.world(),
-            0,
-            "experts must divide the world size"
-        );
-        self.experts / self.world()
-    }
-
-    /// Owner rank of global expert `e`.
-    pub fn owner_of(&self, e: usize) -> usize {
-        e / self.experts_per_worker()
-    }
-
     /// Machine index of a rank.
     pub fn machine_of(&self, rank: usize) -> usize {
         rank / self.gpus_per_machine
-    }
-
-    /// The local rank designated to fetch external expert `e` for its
-    /// machine (round-robin over local workers), and to aggregate its
-    /// gradient pre-reduction.
-    pub fn designated_local(&self, machine: usize, e: usize) -> usize {
-        machine * self.gpus_per_machine + e % self.gpus_per_machine
-    }
-
-    /// Global expert ids owned by `rank`.
-    pub fn owned_experts(&self, rank: usize) -> std::ops::Range<usize> {
-        let per = self.experts_per_worker();
-        rank * per..(rank + 1) * per
     }
 
     /// Experts in block `b`.
@@ -409,17 +381,6 @@ impl ExecConfig {
             "block {b}: experts must divide the world size"
         );
         experts / self.world()
-    }
-
-    /// Owner rank of global expert `e` of block `b`.
-    pub fn owner_of_in(&self, b: usize, e: usize) -> usize {
-        e / self.experts_per_worker_in(b)
-    }
-
-    /// Global expert ids of block `b` owned by `rank`.
-    pub fn owned_experts_in(&self, b: usize, rank: usize) -> std::ops::Range<usize> {
-        let per = self.experts_per_worker_in(b);
-        rank * per..(rank + 1) * per
     }
 
     /// Scratch-slot index of `(block, global expert)`: blocks may differ
@@ -593,12 +554,6 @@ impl WorkerState {
         }
     }
 
-    /// Mutable access to an owned expert by global id.
-    pub fn owned_mut(&mut self, block: usize, e: usize) -> &mut ExpertFfn {
-        let i = self.local_index(block, e);
-        &mut self.experts[block][i]
-    }
-
     /// Shared access to an owned expert by global id.
     pub fn owned(&self, block: usize, e: usize) -> &ExpertFfn {
         let i = self.local_index(block, e);
@@ -643,13 +598,7 @@ fn expert_weights(cfg: &ExecConfig, b: usize, e: usize) -> ExpertFfn {
     ExpertFfn::new(cfg.hidden_dim, &mut rng)
 }
 
-/// Apply an accumulated gradient (sum over all `W` workers' token slots)
-/// to an owned expert with plain SGD.
-pub fn apply_gradient(expert: &mut ExpertFfn, grad: &ExpertGrads, lr: f32) {
-    expert.apply(grad, lr);
-}
-
-/// The loss used by both engines: `L = ½‖y‖²` over the worker's final
+/// The training loss: `L = ½‖y‖²` over the worker's final
 /// output, whose gradient is simply `y`.
 pub fn loss_and_grad(y: &Matrix) -> (f32, Matrix) {
     let loss = 0.5 * y.data().iter().map(|v| v * v).sum::<f32>();
@@ -664,12 +613,7 @@ mod tests {
     fn layout_helpers() {
         let cfg = ExecConfig::small();
         assert_eq!(cfg.world(), 4);
-        assert_eq!(cfg.experts_per_worker(), 2);
-        assert_eq!(cfg.owner_of(0), 0);
-        assert_eq!(cfg.owner_of(7), 3);
         assert_eq!(cfg.machine_of(3), 1);
-        assert_eq!(cfg.owned_experts(2), 4..6);
-        assert_eq!(cfg.designated_local(1, 5), 3);
     }
 
     #[test]
@@ -679,9 +623,6 @@ mod tests {
         assert_eq!(cfg.experts_in(1), 8);
         assert_eq!(cfg.experts_per_worker_in(0), 1);
         assert_eq!(cfg.experts_per_worker_in(1), 2);
-        assert_eq!(cfg.owner_of_in(0, 3), 3);
-        assert_eq!(cfg.owner_of_in(1, 3), 1);
-        assert_eq!(cfg.owned_experts_in(1, 2), 4..6);
         assert_eq!(cfg.scratch_index(0, 3), 3);
         assert_eq!(cfg.scratch_index(1, 0), 4);
         assert_eq!(cfg.scratch_slots(), 12);
@@ -719,9 +660,9 @@ mod tests {
     #[test]
     fn owned_accessors_check_ownership() {
         let cfg = ExecConfig::small();
-        let mut w1 = WorkerState::init(&cfg, 1);
+        let w1 = WorkerState::init(&cfg, 1);
         let _ = w1.owned(0, 2);
-        let _ = w1.owned_mut(1, 3);
+        let _ = w1.owned(1, 3);
     }
 
     #[test]

@@ -1,82 +1,19 @@
-//! Supervised rank recovery: run the unified trainer under a driver that
-//! survives worker crashes.
+//! The crash-recovery ledger of the round loop.
 //!
-//! The supervisor slices training into *rounds* of `ckpt_every`
-//! iterations. Each round runs on a fresh transport mesh
-//! (`Reliable<Faulty<Monitor<Local>>>` — fault injection above the
-//! liveness monitor, so heartbeats neither perturb the fault schedule
-//! nor are themselves dropped before the board sees silence). Workers
-//! restore from the round's starting checkpoint cut (or initialize fresh
-//! at iteration 0), run the round's iterations, and return their
-//! end-of-round checkpoint bytes *in their result* — the supervisor
-//! commits a cut to the [`CkptStore`] only when **every** rank finished
-//! the round, so a crash can never leave a torn, partially-written cut
-//! behind.
+//! Supervised recovery is [`Trainer::run_rounds`] with the default
+//! [`RoundOpts`]; the driver lives in [`elastic`](crate::exec::elastic)
+//! and fills the [`RecoveryReport`] defined here. What stays in this
+//! module is specific to crashes: the ledger, the marker injected crashes
+//! panic with, and [`disarm`], which retires a crash point once it fired.
 //!
-//! When a rank dies (an injected [`CrashPoint`] or any other panic), the
-//! runtime marks it dead on the mesh health board; peers blocked on it
-//! fail fast with [`janus_comm::CommError::PeerDead`] instead of
-//! hanging. The supervisor then disarms the crash points that fired,
-//! counts a recovery, and replays the round from the last committed cut.
-//!
-//! **Why the recovered run is bitwise identical to a fault-free run:**
-//! a committed cut is a bitwise snapshot of every rank's state at an
-//! iteration boundary, where the end-of-iteration double barrier plus
-//! transport flush guarantee no in-flight protocol state survives.
-//! Replaying a round from such a cut is therefore the same deterministic
-//! computation the fault-free run performs — crashed attempts mutate
-//! only state that is thrown away with their mesh.
+//! [`Trainer::run_rounds`]: crate::exec::trainer::Trainer::run_rounds
+//! [`RoundOpts`]: crate::exec::elastic::RoundOpts
 
-use crate::ckpt::{Checkpoint, CkptStore};
-use crate::exec::data_centric::MachineShared;
-use crate::exec::model::{CommSnapshot, ExecConfig, WorkerState};
-use crate::exec::trainer::{collect, TrainRun};
-use crate::exec::unified;
-use crate::plan::{IterationPlan, PlanOpts};
-use bytes::Bytes;
-use janus_comm::liveness::monitor_mesh;
-use janus_comm::local::local_mesh;
-use janus_comm::runtime::run_on_result;
-use janus_comm::{
-    CrashAt, FaultPlan, FaultyTransport, LivenessConfig, ReliableTransport, RetransmitPolicy,
-    Transport,
-};
-use janus_moe::expert::ExpertFfn;
-use janus_tensor::Matrix;
-use std::time::Instant;
+use janus_comm::{CrashAt, FaultPlan};
 
-/// The marker every injected crash panics with; the supervisor uses it
+/// The marker every injected crash panics with; the round driver uses it
 /// to tell scheduled faults from genuine worker bugs.
 pub const INJECTED_CRASH_MARKER: &str = "injected crash";
-
-/// Supervisor knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct SupervisorOpts {
-    /// Round length: a checkpoint cut is committed every `ckpt_every`
-    /// completed iterations (also the replay granularity after a crash).
-    pub ckpt_every: u64,
-    /// How many failed rounds the supervisor will recover from before
-    /// giving up and surfacing the failure.
-    pub max_recoveries: u32,
-    /// Reliability policy for the per-round transport stack.
-    pub retransmit: RetransmitPolicy,
-    /// Liveness policy for the per-round transport stack. The default
-    /// (heartbeats off) still detects panics — the runtime marks dead
-    /// ranks on the health board directly; enable heartbeats to also
-    /// suspect silently wedged peers.
-    pub liveness: LivenessConfig,
-}
-
-impl Default for SupervisorOpts {
-    fn default() -> Self {
-        SupervisorOpts {
-            ckpt_every: 1,
-            max_recoveries: 8,
-            retransmit: RetransmitPolicy::default(),
-            liveness: LivenessConfig::default(),
-        }
-    }
-}
 
 /// One rank's recovery bookkeeping.
 #[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
@@ -89,7 +26,7 @@ pub struct RankRecovery {
     pub ckpts_restored: u64,
 }
 
-/// What fault tolerance cost a supervised run.
+/// What crash recovery cost a run under the round driver.
 #[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct RecoveryReport {
     /// Worker deaths observed (injected crashes and collateral panics).
@@ -128,230 +65,6 @@ impl RecoveryReport {
     }
 }
 
-/// What one rank brings back from one (successful) round.
-type RoundOut = (Vec<f32>, Matrix, Vec<Vec<ExpertFfn>>, CommSnapshot, Bytes);
-
-/// Train `iters` iterations of the unified engine under supervision,
-/// injecting `faults` (including [`janus_comm::CrashPoint`]s). Returns
-/// the compiled plan, the finished run, and the recovery ledger — or an
-/// error once `max_recoveries` consecutive attempts have been spent.
-///
-/// The headline property (asserted by the chaos tests): the returned
-/// run's losses, outputs, and final weights are **bitwise identical** to
-/// a fault-free [`crate::exec::trainer::train_unified`] of the same
-/// config, regardless of where the crashes struck.
-pub fn train_supervised(
-    cfg: &ExecConfig,
-    opts: &PlanOpts,
-    sup: &SupervisorOpts,
-    iters: u64,
-    faults: FaultPlan,
-) -> Result<(IterationPlan, TrainRun, RecoveryReport), String> {
-    assert!(
-        iters > 0,
-        "supervised training needs at least one iteration"
-    );
-    let plan = cfg.compile_plan(opts);
-    let digest = plan.digest();
-    let world = cfg.world();
-    let round_len = sup.ckpt_every.max(1);
-
-    let store = CkptStore::new();
-    let mut pending = faults;
-    let mut report = RecoveryReport {
-        per_rank: vec![RankRecovery::default(); world],
-        ..RecoveryReport::default()
-    };
-    let mut recoveries_left = sup.max_recoveries;
-    // Committed progress: loss history per rank, plus the last round's
-    // outputs/experts/comm (refreshed every committed round).
-    let mut losses: Vec<Vec<f32>> = vec![Vec::new(); world];
-    let mut comm_totals: Vec<CommSnapshot> = vec![CommSnapshot::default(); world];
-    let mut last_round: Option<Vec<(Matrix, Vec<Vec<ExpertFfn>>)>> = None;
-    let mut start: u64 = 0;
-    // Set after a failed attempt so the next (replaying) attempt is
-    // timed as the recovery.
-    let mut recovering_since: Option<Instant> = None;
-
-    while start < iters {
-        let end = (start + round_len).min(iters);
-        let is_replay = recovering_since.is_some();
-        let results = run_round(cfg, &plan, sup, &store, &pending, digest, start, end);
-
-        let failed: Vec<(usize, &String)> = results
-            .iter()
-            .enumerate()
-            .filter_map(|(rank, r)| match r {
-                Err(panic_msg) => Some((rank, panic_msg)),
-                Ok(_) => None,
-            })
-            .collect();
-
-        if failed.is_empty() {
-            // Commit: every rank finished the round, so the cut at `end`
-            // is complete and becomes the new restore point.
-            let mut round = Vec::with_capacity(world);
-            for (rank, r) in results.into_iter().enumerate() {
-                let (l, output, experts, comm, ckpt) = r.expect("no rank failed");
-                losses[rank].extend(l);
-                comm_totals[rank].accumulate(&comm);
-                report.ckpts_written += 1;
-                report.ckpt_bytes_written += ckpt.len() as u64;
-                report.per_rank[rank].ckpts_written += 1;
-                store.put(rank, end, ckpt);
-                round.push((output, experts));
-            }
-            if is_replay {
-                if start > 0 {
-                    report.ckpts_restored += world as u64;
-                    for pr in &mut report.per_rank {
-                        pr.ckpts_restored += 1;
-                    }
-                }
-                let us = recovering_since
-                    .take()
-                    .expect("replay rounds are timed")
-                    .elapsed()
-                    .as_micros() as u64;
-                report.recover_us.push(us);
-                janus_obs::global().observe("janus_time_to_recover_us", us);
-            }
-            last_round = Some(round);
-            start = end;
-            continue;
-        }
-
-        // At least one rank died. Disarm the crash points that fired,
-        // charge the recovery budget, and replay the round. A panic
-        // without the marker (a genuine bug, or collateral damage from a
-        // peer's death) is replayed on the same budget: if it is
-        // deterministic it will exhaust `max_recoveries` and surface.
-        for (rank, msg) in &failed {
-            report.crashes += 1;
-            report.per_rank[*rank].crashes += 1;
-            if msg.contains(INJECTED_CRASH_MARKER) {
-                disarm(&mut pending, *rank, msg);
-            }
-        }
-        if recoveries_left == 0 {
-            let detail: Vec<String> = failed
-                .iter()
-                .map(|(rank, msg)| format!("rank {rank}: {msg}"))
-                .collect();
-            return Err(format!(
-                "supervisor gave up after {} recoveries; last failures: {}",
-                sup.max_recoveries,
-                detail.join("; ")
-            ));
-        }
-        recoveries_left -= 1;
-        report.recoveries += 1;
-        report.replayed_iterations += end - start;
-        if start > 0 {
-            report.ckpt_bytes_restored += (0..world)
-                .map(|r| store.get(r, start).map_or(0, |b| b.len() as u64))
-                .sum::<u64>();
-        }
-        // Only restores from a committed cut count; replays of round 0
-        // re-initialize instead. Restores are tallied when the replay
-        // commits (ckpts_restored above), bytes when it begins (here).
-        janus_obs::global().count("janus_recoveries_total", 1);
-        // Keep an already-running recovery timer: back-to-back failures
-        // are one outage from the run's point of view.
-        recovering_since.get_or_insert_with(Instant::now);
-    }
-
-    let round = last_round.expect("at least one committed round");
-    let results = round
-        .into_iter()
-        .zip(losses)
-        .zip(comm_totals)
-        .map(|(((output, experts), l), comm)| (l, output, experts, comm))
-        .collect();
-    Ok((plan, collect(results), report))
-}
-
-/// Run one `[start, end)` round on a fresh mesh. Per rank:
-/// `Ok(RoundOut)` when it finished, `Err(panic message)` when it died.
-/// A rank that *observes* a death (e.g. `PeerDead` out of an iteration)
-/// converts it into a panic too, so every round outcome is uniform.
-#[allow(clippy::too_many_arguments)]
-fn run_round(
-    cfg: &ExecConfig,
-    plan: &IterationPlan,
-    sup: &SupervisorOpts,
-    store: &CkptStore,
-    pending: &FaultPlan,
-    digest: u64,
-    start: u64,
-    end: u64,
-) -> Vec<Result<RoundOut, String>> {
-    let world = cfg.world();
-    let mesh: Vec<_> = monitor_mesh(local_mesh(world), sup.liveness)
-        .into_iter()
-        .map(|t| {
-            ReliableTransport::with_policy(FaultyTransport::new(t, pending.clone()), sup.retransmit)
-        })
-        .collect();
-    let shared = MachineShared::for_cluster(cfg);
-    run_on_result(mesh, |comm| -> RoundOut {
-        let rank = comm.rank();
-        let mut state = WorkerState::init(cfg, rank);
-        if start > 0 {
-            let bytes = store
-                .get(rank, start)
-                .expect("restore point was committed by the supervisor");
-            let ckpt = Checkpoint::from_bytes(&bytes)
-                .unwrap_or_else(|e| panic!("rank {rank} restoring cut {start}: {e}"));
-            assert_eq!(
-                ckpt.plan_digest, digest,
-                "rank {rank}: checkpoint belongs to a different plan"
-            );
-            assert_eq!(ckpt.iter, start, "rank {rank}: wrong cut");
-            ckpt.restore(&mut state)
-                .unwrap_or_else(|e| panic!("rank {rank} restoring cut {start}: {e}"));
-        }
-        let my_iter_crashes: Vec<u64> = pending
-            .crashes
-            .iter()
-            .filter(|c| c.rank == rank)
-            .filter_map(|c| match c.at {
-                CrashAt::Iteration(i) => Some(i),
-                CrashAt::SendOp(_) => None,
-            })
-            .collect();
-        let sh = &shared[cfg.machine_of(rank)];
-        let mut losses = Vec::new();
-        let mut output = None;
-        for i in start..end {
-            if my_iter_crashes.contains(&i) {
-                janus_obs::global().count("janus_crashes_injected_total", 1);
-                panic!("{INJECTED_CRASH_MARKER}: rank {rank} at iteration {i}");
-            }
-            let out = unified::run_iteration(&comm, &mut state, sh, plan, i)
-                // A comm error here means a peer died mid-round; the
-                // whole round is replayed, so this rank's partial work
-                // is discarded along with it.
-                .unwrap_or_else(|e| panic!("rank {rank} at iteration {i}: {e}"));
-            losses.push(out.loss);
-            output = Some(out.output);
-        }
-        // Drain reliability traffic before the mesh is torn down, then
-        // snapshot the cut. Flush failures at teardown are not fatal to
-        // the round: every iteration already completed its barriers.
-        let _ = comm.transport().flush();
-        state.comm.record_transport(comm.transport().stats());
-        let ckpt = Checkpoint::capture(&state, end, digest).to_bytes();
-        (
-            losses,
-            output.expect("rounds are non-empty"),
-            state.experts,
-            state.comm.snapshot(),
-            ckpt,
-        )
-    })
-}
-
 /// Remove the crash point that produced `msg` from the plan so the
 /// replay does not immediately die again. Injected panics name their
 /// trigger (`… at iteration N` / `… at send op N`), which is parsed back
@@ -375,7 +88,10 @@ pub(crate) fn disarm(plan: &mut FaultPlan, rank: usize, msg: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::trainer::{diff_runs, train_unified};
+    use crate::exec::elastic::{RoundOpts, RoundsOutcome};
+    use crate::exec::model::ExecConfig;
+    use crate::exec::trainer::{diff_runs, TrainRun, Trainer};
+    use crate::plan::PlanOpts;
     use janus_comm::CrashPoint;
 
     fn small() -> ExecConfig {
@@ -385,124 +101,89 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fault_free_supervised_run_matches_train_unified_bitwise() {
-        let cfg = small();
-        let (_, run, report) = train_supervised(
-            &cfg,
-            &PlanOpts::default(),
-            &SupervisorOpts::default(),
-            3,
-            FaultPlan::default(),
-        )
-        .unwrap();
-        let baseline = train_unified(&cfg, 3);
-        let diff = diff_runs(&run, &baseline);
+    fn supervised(
+        cfg: &ExecConfig,
+        opts: &RoundOpts,
+        iters: u64,
+        crashes: Vec<CrashPoint>,
+    ) -> Result<RoundsOutcome, String> {
+        let faults = FaultPlan {
+            crashes,
+            ..FaultPlan::default()
+        };
+        Trainer::new(cfg, &PlanOpts::default()).run_rounds(opts, iters, faults)
+    }
+
+    fn assert_matches_fault_free(cfg: &ExecConfig, run: &TrainRun, iters: u64) {
+        let baseline = Trainer::new(cfg, &PlanOpts::default()).run(iters);
+        let diff = diff_runs(run, &baseline);
         assert_eq!(diff.max_output_diff, 0.0, "{diff:?}");
         assert_eq!(diff.max_weight_diff, 0.0, "{diff:?}");
         assert_eq!(diff.max_loss_diff, 0.0, "{diff:?}");
-        assert_eq!(report.crashes, 0);
-        assert_eq!(report.recoveries, 0);
-        assert_eq!(report.ckpts_written, 3 * cfg.world() as u64);
     }
 
     #[test]
     fn iteration_crash_is_recovered_bitwise() {
         let cfg = small();
-        let faults = FaultPlan {
-            crashes: vec![CrashPoint {
-                rank: 2,
-                at: CrashAt::Iteration(1),
-            }],
-            ..FaultPlan::default()
+        let crash = CrashPoint {
+            rank: 2,
+            at: CrashAt::Iteration(1),
         };
-        let (_, run, report) = train_supervised(
-            &cfg,
-            &PlanOpts::default(),
-            &SupervisorOpts::default(),
-            3,
-            faults,
-        )
-        .unwrap();
+        let out = supervised(&cfg, &RoundOpts::default(), 3, vec![crash]).unwrap();
+        let report = &out.recovery;
         assert!(report.crashes >= 1, "{report:?}");
         assert_eq!(report.recoveries, 1, "{report:?}");
         assert_eq!(report.ckpts_restored, cfg.world() as u64, "{report:?}");
         assert_eq!(report.recover_us.len(), 1);
-        let baseline = train_unified(&cfg, 3);
-        let diff = diff_runs(&run, &baseline);
-        assert_eq!(diff.max_output_diff, 0.0, "{diff:?}");
-        assert_eq!(diff.max_weight_diff, 0.0, "{diff:?}");
-        assert_eq!(diff.max_loss_diff, 0.0, "{diff:?}");
+        assert_matches_fault_free(&cfg, &out.run, 3);
     }
 
     #[test]
     fn send_op_crash_is_recovered_bitwise() {
         let cfg = small();
-        let faults = FaultPlan {
-            crashes: vec![CrashPoint {
-                rank: 1,
-                at: CrashAt::SendOp(7),
-            }],
-            ..FaultPlan::default()
+        let crash = CrashPoint {
+            rank: 1,
+            at: CrashAt::SendOp(7),
         };
-        let (_, run, report) = train_supervised(
-            &cfg,
-            &PlanOpts::default(),
-            &SupervisorOpts::default(),
-            2,
-            faults,
-        )
-        .unwrap();
-        assert!(report.crashes >= 1, "{report:?}");
-        assert!(report.recoveries >= 1, "{report:?}");
-        let baseline = train_unified(&cfg, 2);
-        let diff = diff_runs(&run, &baseline);
-        assert_eq!(diff.max_weight_diff, 0.0, "{diff:?}");
-        assert_eq!(diff.max_loss_diff, 0.0, "{diff:?}");
+        let out = supervised(&cfg, &RoundOpts::default(), 2, vec![crash]).unwrap();
+        assert!(out.recovery.crashes >= 1, "{:?}", out.recovery);
+        assert!(out.recovery.recoveries >= 1, "{:?}", out.recovery);
+        assert_matches_fault_free(&cfg, &out.run, 2);
     }
 
     #[test]
     fn crash_in_a_later_round_restores_from_the_committed_cut() {
         let cfg = small();
-        let faults = FaultPlan {
-            crashes: vec![CrashPoint {
-                rank: 0,
-                at: CrashAt::Iteration(2),
-            }],
-            ..FaultPlan::default()
+        let crash = CrashPoint {
+            rank: 0,
+            at: CrashAt::Iteration(2),
         };
-        let sup = SupervisorOpts {
+        let opts = RoundOpts {
             ckpt_every: 2,
-            ..SupervisorOpts::default()
+            ..RoundOpts::default()
         };
-        let (_, run, report) =
-            train_supervised(&cfg, &PlanOpts::default(), &sup, 4, faults).unwrap();
+        let out = supervised(&cfg, &opts, 4, vec![crash]).unwrap();
+        let report = &out.recovery;
         // The crash hits round [2,4), which replays from the cut at 2.
         assert_eq!(report.recoveries, 1, "{report:?}");
         assert_eq!(report.ckpts_restored, cfg.world() as u64, "{report:?}");
         assert_eq!(report.replayed_iterations, 2, "{report:?}");
-        let baseline = train_unified(&cfg, 4);
-        let diff = diff_runs(&run, &baseline);
-        assert_eq!(diff.max_weight_diff, 0.0, "{diff:?}");
-        assert_eq!(diff.max_loss_diff, 0.0, "{diff:?}");
+        assert_matches_fault_free(&cfg, &out.run, 4);
     }
 
     #[test]
     fn exhausted_recovery_budget_surfaces_the_failure() {
         let cfg = small();
-        // Crash every rank at iteration 0 but allow zero recoveries.
-        let faults = FaultPlan {
-            crashes: vec![CrashPoint {
-                rank: 0,
-                at: CrashAt::Iteration(0),
-            }],
-            ..FaultPlan::default()
+        // Crash a rank at iteration 0 but allow zero recoveries.
+        let crash = CrashPoint {
+            rank: 0,
+            at: CrashAt::Iteration(0),
         };
-        let sup = SupervisorOpts {
+        let opts = RoundOpts {
             max_recoveries: 0,
-            ..SupervisorOpts::default()
+            ..RoundOpts::default()
         };
-        let err = match train_supervised(&cfg, &PlanOpts::default(), &sup, 2, faults) {
+        let err = match supervised(&cfg, &opts, 2, vec![crash]) {
             Err(e) => e,
             Ok(_) => panic!("a crash with zero recoveries must fail"),
         };

@@ -1,30 +1,43 @@
-//! Multi-iteration training drivers and the paradigm-equivalence harness.
+//! The one training driver: a compiled plan plus the per-rank span body
+//! every run goes through.
+//!
+//! A [`Trainer`] is a config and its compiled [`IterationPlan`]. The plan
+//! is the only place a paradigm is chosen: an "expert-centric run" is a
+//! trainer compiled with `PlanOpts { policy: ParadigmPolicy::ExpertCentric,
+//! .. }`, and likewise for data-centric. Every run — plain, over caller
+//! endpoints, restarted from a [`Cut`], or sliced into rounds
+//! ([`Trainer::run_rounds`], in [`elastic`](crate::exec::elastic)) — is
+//! the same per-rank body: start from a cut (or the deterministic init)
+//! under a placement, run a range of [`unified::run_iteration`]s, flush
+//! the transport, snapshot the counters, and cut the end-of-span
+//! checkpoint when the [`CheckpointPolicy`] selects that boundary.
 //!
 //! The paper's correctness claim (§3.2): "the computation result in
 //! expert-centric paradigm is strictly equivalent to the results in
 //! data-centric paradigm … data-centric paradigm does not affect the
-//! convergence of training and model accuracy." [`compare_paradigms`]
-//! runs the same model, same tokens, same seeds through both numerical
-//! engines and reports the differences — which tests assert to be
-//! exactly zero: both engines compute per-source-worker gradients and
-//! fold them in the same order, so the equivalence is bitwise, not
-//! merely statistical. [`train_unified`] drives the per-block
-//! mixed-paradigm engine off a compiled [`IterationPlan`] and is held to
-//! the same bitwise standard against both pure engines.
+//! convergence of training and model accuracy." Both sets of block bodies
+//! compute per-source-worker gradients and fold them in the same order,
+//! so the equivalence is bitwise, not merely statistical: the tests here
+//! hold forced-EC ≡ forced-DC ≡ R-rule plans, through every driver, to
+//! exactly zero difference.
 
-use crate::ckpt::{Checkpoint, CheckpointPolicy, CkptStore};
-use crate::exec::data_centric::{self, MachineShared};
-use crate::exec::expert_centric;
+use crate::ckpt::{Checkpoint, CheckpointPolicy};
+use crate::exec::data_centric::MachineShared;
+use crate::exec::elastic::{apply_gate_skew, Cut, GateSkew};
 use crate::exec::model::{CommSnapshot, ExecConfig, WorkerState};
 use crate::exec::unified;
 use crate::plan::{IterationPlan, PlanOpts};
-use janus_comm::runtime::{run_on, run_workers};
-use janus_comm::Transport;
+use bytes::Bytes;
+use janus_comm::liveness::monitored_mesh;
+use janus_comm::runtime::run_on;
+use janus_comm::{Comm, LivenessConfig, Transport};
 use janus_moe::expert::ExpertFfn;
 use janus_obs::{OverlapReport, TraceEvent};
 use janus_tensor::Matrix;
+use std::ops::Range;
 
 /// Result of one multi-iteration training run.
+#[derive(Default)]
 pub struct TrainRun {
     /// Per-worker loss history.
     pub losses: Vec<Vec<f32>>,
@@ -35,6 +48,10 @@ pub struct TrainRun {
     /// Per-worker communication reliability counters (all zero on a
     /// fault-free plain-transport run).
     pub comm: Vec<CommSnapshot>,
+    /// Per-worker end-of-run checkpoint: `None` unless the run's
+    /// [`CheckpointPolicy`] selected its final boundary (rounds always
+    /// cut theirs).
+    pub ckpts: Vec<Option<Bytes>>,
     /// Span events drained from the global recorder, empty unless
     /// recording was enabled (`janus_obs::global().enable*()`) before the
     /// run. Events carry the worker rank as `pid`.
@@ -75,175 +92,204 @@ impl TrainRun {
     }
 }
 
-/// Train `iters` iterations with the expert-centric engine over an
-/// in-process mesh.
-pub fn train_expert_centric(cfg: &ExecConfig, iters: u64) -> TrainRun {
-    let results = run_workers(cfg.world(), |comm| {
-        let mut state = WorkerState::init(cfg, comm.rank());
-        let mut losses = Vec::new();
-        let mut output = None;
-        for i in 0..iters {
-            let out = expert_centric::run_iteration(&comm, &mut state, i)
-                .expect("expert-centric iteration");
-            losses.push(out.loss);
-            output = Some(out.output);
-        }
-        (
-            losses,
-            output.expect("at least one iteration"),
-            state.experts,
-            state.comm.snapshot(),
-        )
-    });
-    collect(results)
+/// What one rank brings back from one span of iterations (the default
+/// is a rank that never ran).
+#[derive(Default)]
+pub(crate) struct SpanOut {
+    pub losses: Vec<f32>,
+    pub output: Matrix,
+    pub experts: Vec<Vec<ExpertFfn>>,
+    pub comm: CommSnapshot,
+    /// Checkpoint at the span's end, when the policy selected it.
+    pub ckpt: Option<Bytes>,
 }
 
-/// Train `iters` iterations with the data-centric engine over an
-/// in-process mesh.
-pub fn train_data_centric(cfg: &ExecConfig, iters: u64) -> TrainRun {
-    let shared = MachineShared::for_cluster(cfg);
-    let results = run_workers(cfg.world(), |comm| {
-        let mut state = WorkerState::init(cfg, comm.rank());
-        let sh = &shared[cfg.machine_of(comm.rank())];
-        let mut losses = Vec::new();
-        let mut output = None;
-        for i in 0..iters {
-            let out = data_centric::run_iteration(&comm, &mut state, sh, i)
-                .expect("data-centric iteration");
-            losses.push(out.loss);
-            output = Some(out.output);
-        }
-        (
-            losses,
-            output.expect("at least one iteration"),
-            state.experts,
-            state.comm.snapshot(),
-        )
-    });
-    collect(results)
-}
-
-/// Train `iters` iterations with the unified engine over an in-process
-/// mesh, following the default-compiled [`IterationPlan`] (the R-rule
-/// picks each block's paradigm).
-pub fn train_unified(cfg: &ExecConfig, iters: u64) -> TrainRun {
-    train_unified_with(cfg, &PlanOpts::default(), iters).1
-}
-
-/// [`train_unified`] with explicit plan options; also returns the
-/// compiled plan so callers can inspect paradigms or the digest.
-pub fn train_unified_with(
-    cfg: &ExecConfig,
-    opts: &PlanOpts,
-    iters: u64,
-) -> (IterationPlan, TrainRun) {
-    train_unified_checkpointed(cfg, opts, iters, CheckpointPolicy::Never, &CkptStore::new())
-}
-
-/// [`train_unified_with`] plus periodic checkpointing: after every
-/// iteration the `policy` selects, each rank encodes a [`Checkpoint`]
-/// (iteration counter, plan digest, RNG cursor, expert shard) and
-/// commits it to `store` keyed by `(rank, completed iterations)`.
-/// Checkpointing never perturbs the trajectory — it only reads state at
-/// iteration boundaries — so a checkpointed run stays bitwise identical
-/// to an unpoliced one.
-pub fn train_unified_checkpointed(
-    cfg: &ExecConfig,
-    opts: &PlanOpts,
-    iters: u64,
-    policy: CheckpointPolicy,
-    store: &CkptStore,
-) -> (IterationPlan, TrainRun) {
-    let plan = cfg.compile_plan(opts);
-    let digest = plan.digest();
-    let shared = MachineShared::for_cluster(cfg);
-    let results = run_workers(cfg.world(), |comm| {
-        let mut state = WorkerState::init(cfg, comm.rank());
-        let sh = &shared[cfg.machine_of(comm.rank())];
-        let mut losses = Vec::new();
-        let mut output = None;
-        for i in 0..iters {
-            let out =
-                unified::run_iteration(&comm, &mut state, sh, &plan, i).expect("unified iteration");
-            losses.push(out.loss);
-            output = Some(out.output);
-            if policy.should_save(i + 1) {
-                let bytes = Checkpoint::capture(&state, i + 1, digest).to_bytes();
-                store.put(state.rank, i + 1, bytes);
-            }
-        }
-        (
-            losses,
-            output.expect("at least one iteration"),
-            state.experts,
-            state.comm.snapshot(),
-        )
-    });
-    (plan, collect(results))
-}
-
-/// [`train_unified`] over caller-supplied transport endpoints (one per
-/// rank), e.g. a `ReliableTransport<FaultyTransport<LocalTransport>>`
-/// stack from a chaos test. Endpoints are flushed before teardown so
-/// in-flight reliability traffic (retransmits awaiting their final acks)
-/// is not lost with the mesh; the plan is compiled with default options.
-pub fn train_unified_on<T: Transport + 'static>(
-    endpoints: Vec<T>,
-    cfg: &ExecConfig,
-    iters: u64,
-) -> TrainRun {
-    assert_eq!(endpoints.len(), cfg.world(), "one endpoint per rank");
-    let plan = cfg.compile_plan(&PlanOpts::default());
-    let shared = MachineShared::for_cluster(cfg);
-    let results = run_on(endpoints, |comm| {
-        let mut state = WorkerState::init(cfg, comm.rank());
-        let sh = &shared[cfg.machine_of(comm.rank())];
-        let mut losses = Vec::new();
-        let mut output = None;
-        for i in 0..iters {
-            let out =
-                unified::run_iteration(&comm, &mut state, sh, &plan, i).expect("unified iteration");
-            losses.push(out.loss);
-            output = Some(out.output);
-        }
-        comm.transport().flush().expect("flushing the transport");
-        state.comm.record_transport(comm.transport().stats());
-        (
-            losses,
-            output.expect("at least one iteration"),
-            state.experts,
-            state.comm.snapshot(),
-        )
-    });
-    collect(results)
-}
-
-pub(crate) type WorkerResult = (Vec<f32>, Matrix, Vec<Vec<ExpertFfn>>, CommSnapshot);
-
-pub(crate) fn collect(results: Vec<WorkerResult>) -> TrainRun {
-    let mut run = TrainRun {
-        losses: Vec::new(),
-        outputs: Vec::new(),
-        experts: Vec::new(),
-        comm: Vec::new(),
-        trace: Vec::new(),
-    };
-    for (losses, output, experts, comm) in results {
-        run.losses.push(losses);
-        run.outputs.push(output);
-        run.experts.push(experts);
-        run.comm.push(comm);
+impl SpanOut {
+    /// Append the next committed span of the same rank: histories and
+    /// counters accumulate, end-of-span state is replaced.
+    pub(crate) fn absorb(&mut self, next: SpanOut) {
+        self.losses.extend(next.losses);
+        self.comm.accumulate(&next.comm);
+        self.output = next.output;
+        self.experts = next.experts;
+        self.ckpt = next.ckpt;
     }
-    // Claim whatever the run recorded (nothing unless the caller enabled
-    // recording). Drained here so back-to-back runs don't bleed spans
-    // into each other's traces.
+}
+
+/// Assemble per-rank results (`None`: the rank never ran) into a
+/// [`TrainRun`] and claim whatever the run recorded.
+pub(crate) fn collect(results: Vec<Option<SpanOut>>) -> TrainRun {
+    let mut run = TrainRun::default();
+    for out in results.into_iter().map(Option::unwrap_or_default) {
+        run.losses.push(out.losses);
+        run.outputs.push(out.output);
+        run.experts.push(out.experts);
+        run.comm.push(out.comm);
+        run.ckpts.push(out.ckpt);
+    }
+    // Nothing unless the caller enabled recording. Drained here so
+    // back-to-back runs don't bleed spans into each other's traces.
     if janus_obs::global().enabled() {
         run.trace = janus_obs::global().drain_events();
     }
     run
 }
 
-/// Divergence between the two paradigms after identical training runs.
+/// A training configuration and its compiled plan — the single entry
+/// point for running it.
+pub struct Trainer {
+    cfg: ExecConfig,
+    plan: IterationPlan,
+    digest: u64,
+}
+
+impl Trainer {
+    /// Compile `cfg`'s plan under `opts` (the R rule picks each block's
+    /// paradigm by default; `opts.policy` forces one).
+    pub fn new(cfg: &ExecConfig, opts: &PlanOpts) -> Self {
+        let plan = cfg.compile_plan(opts);
+        let digest = plan.digest();
+        Trainer {
+            cfg: cfg.clone(),
+            plan,
+            digest,
+        }
+    }
+
+    /// The configuration being trained.
+    pub fn cfg(&self) -> &ExecConfig {
+        &self.cfg
+    }
+
+    /// The compiled plan every iteration follows.
+    pub fn plan(&self) -> &IterationPlan {
+        &self.plan
+    }
+
+    /// Train `iters` iterations from the deterministic init over an
+    /// in-process mesh. The mesh is liveness-monitored with heartbeats
+    /// off, so a panicking rank fails its peers fast instead of hanging
+    /// them.
+    pub fn run(&self, iters: u64) -> TrainRun {
+        let mesh = monitored_mesh(self.cfg.world(), LivenessConfig::default());
+        self.run_on(mesh, iters)
+    }
+
+    /// [`run`](Self::run) over caller-supplied transport endpoints (one
+    /// per rank), e.g. a TCP mesh or a
+    /// `ReliableTransport<FaultyTransport<LocalTransport>>` chaos stack.
+    pub fn run_on<T: Transport + 'static>(&self, endpoints: Vec<T>, iters: u64) -> TrainRun {
+        let start = Cut::fresh(WorkerState::balanced_placement(&self.cfg));
+        self.run_from(endpoints, &start, None, iters, CheckpointPolicy::Never)
+    }
+
+    /// The general single-span run: start every live rank of
+    /// `start.placement` from its cut bytes (or the deterministic init
+    /// where the cut holds none), bias the gates by `skew`, train
+    /// `start.at_iter..iters`, and cut [`TrainRun::ckpts`] when `policy`
+    /// selects `iters`. A run started from a committed cut is bitwise the
+    /// run that produced the cut, continued. Panics naming the rank and
+    /// iteration if an iteration fails.
+    pub fn run_from<T: Transport + 'static>(
+        &self,
+        endpoints: Vec<T>,
+        start: &Cut,
+        skew: Option<&GateSkew>,
+        iters: u64,
+        policy: CheckpointPolicy,
+    ) -> TrainRun {
+        assert_eq!(endpoints.len(), self.cfg.world(), "one endpoint per rank");
+        assert!(start.at_iter < iters, "runs are non-empty");
+        let shared = MachineShared::for_cluster_placed(&self.cfg, &start.placement);
+        let results = run_on(endpoints, |comm| {
+            let rank = comm.rank();
+            if !start.placement.is_live(rank) {
+                return None;
+            }
+            let state = self.enter(rank, start, skew);
+            let sh = &shared[self.cfg.machine_of(rank)];
+            Some(self.iterate(&comm, state, sh, start.at_iter..iters, policy, |_| {}))
+        });
+        collect(results)
+    }
+
+    /// `state`'s checkpoint at boundary `at`, stamped with the plan digest.
+    pub(crate) fn checkpoint(&self, state: &WorkerState, at: u64) -> Bytes {
+        Checkpoint::capture(state, at, self.digest).to_bytes()
+    }
+
+    /// First half of the per-rank body: the rank's state entering a span
+    /// — deterministic init under the cut's placement, gates biased by
+    /// `skew`, then the cut's checkpoint restored over the expert shard.
+    /// Only the cut before iteration 0 may lack one.
+    pub(crate) fn enter(&self, rank: usize, start: &Cut, skew: Option<&GateSkew>) -> WorkerState {
+        let at = start.at_iter;
+        let mut state = WorkerState::init_placed(&self.cfg, rank, start.placement.clone());
+        if let Some(s) = skew {
+            apply_gate_skew(&mut state, s);
+        }
+        if let Some(bytes) = &start.ckpts[rank] {
+            let ckpt = Checkpoint::from_bytes(bytes)
+                .unwrap_or_else(|e| panic!("rank {rank} reading cut {at}: {e}"));
+            assert_eq!(
+                ckpt.plan_digest, self.digest,
+                "rank {rank}: checkpoint belongs to a different plan"
+            );
+            assert_eq!(ckpt.iter, at, "rank {rank}: wrong cut");
+            ckpt.restore(&mut state)
+                .unwrap_or_else(|e| panic!("rank {rank} restoring cut {at}: {e}"));
+        } else {
+            assert_eq!(at, 0, "rank {rank}: cut {at} holds no checkpoint for it");
+        }
+        state
+    }
+
+    /// Second half of the per-rank body, and the only iteration loop:
+    /// run `span`, calling `before_iter` ahead of each iteration (where
+    /// the round driver injects scheduled crashes), then drain the
+    /// transport and snapshot the rank.
+    pub(crate) fn iterate<T: Transport>(
+        &self,
+        comm: &Comm<T>,
+        mut state: WorkerState,
+        shared: &MachineShared,
+        span: Range<u64>,
+        policy: CheckpointPolicy,
+        before_iter: impl Fn(u64),
+    ) -> SpanOut {
+        let rank = state.rank;
+        let end = span.end;
+        let mut losses = Vec::new();
+        let mut output = None;
+        for i in span {
+            before_iter(i);
+            let out = unified::run_iteration(comm, &mut state, shared, &self.plan, i)
+                // Under a round driver a comm error here means a peer
+                // died mid-round; the round is replayed, so this rank's
+                // partial work is discarded along with it.
+                .unwrap_or_else(|e| panic!("rank {rank} at iteration {i}: {e}"));
+            losses.push(out.loss);
+            output = Some(out.output);
+        }
+        // Drain reliability traffic (retransmits awaiting their final
+        // acks) before the mesh is torn down. A flush failure here is not
+        // fatal: every iteration already completed its barriers.
+        let _ = comm.transport().flush();
+        state.comm.record_transport(comm.transport().stats());
+        let ckpt = policy
+            .should_save(end)
+            .then(|| self.checkpoint(&state, end));
+        SpanOut {
+            losses,
+            output: output.expect("spans are non-empty"),
+            experts: state.experts,
+            comm: state.comm.snapshot(),
+            ckpt,
+        }
+    }
+}
+
+/// Divergence between two training runs.
 #[derive(Debug, Clone)]
 pub struct ParadigmDiff {
     /// Largest |Δ| across all workers' final outputs.
@@ -252,14 +298,6 @@ pub struct ParadigmDiff {
     pub max_weight_diff: f32,
     /// Largest |Δ| across the loss histories.
     pub max_loss_diff: f32,
-}
-
-/// Run both pure engines on identical inputs and measure their
-/// divergence.
-pub fn compare_paradigms(cfg: &ExecConfig, iters: u64) -> ParadigmDiff {
-    let ec = train_expert_centric(cfg, iters);
-    let dc = train_data_centric(cfg, iters);
-    diff_runs(&ec, &dc)
 }
 
 /// Largest divergence between two training runs across outputs, weights,
@@ -295,91 +333,151 @@ pub fn diff_runs(a: &TrainRun, b: &TrainRun) -> ParadigmDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::elastic::RoundOpts;
+    use crate::paradigm::{Paradigm, ParadigmPolicy};
+    use janus_comm::local::local_mesh;
+    use janus_comm::FaultPlan;
 
-    /// Within one iteration (before any weight update) the two paradigms
-    /// produce bitwise-identical forward outputs: every token's expert
-    /// computation and combine happen in the same order on the same bits.
-    #[test]
-    fn single_iteration_outputs_are_bitwise_identical() {
-        let cfg = ExecConfig::small();
-        let diff = compare_paradigms(&cfg, 1);
-        assert_eq!(diff.max_output_diff, 0.0, "{diff:?}");
-        assert_eq!(diff.max_loss_diff, 0.0, "{diff:?}");
+    const POLICIES: [ParadigmPolicy; 3] = [
+        ParadigmPolicy::ExpertCentric,
+        ParadigmPolicy::DataCentric,
+        ParadigmPolicy::Unified,
+    ];
+
+    fn trainer(cfg: &ExecConfig, policy: ParadigmPolicy) -> Trainer {
+        Trainer::new(
+            cfg,
+            &PlanOpts {
+                policy,
+                ..PlanOpts::default()
+            },
+        )
     }
 
-    /// The headline equivalence result over multiple updates: both
-    /// engines compute per-source-worker gradients and fold them in the
-    /// same pre-reduction order, so trained weights — and therefore all
-    /// subsequent outputs and losses — are bitwise identical.
-    #[test]
-    fn paradigms_are_bitwise_equivalent_over_updates() {
-        let cfg = ExecConfig::small();
-        let diff = compare_paradigms(&cfg, 3);
-        assert_eq!(diff.max_output_diff, 0.0, "{diff:?}");
-        assert_eq!(diff.max_weight_diff, 0.0, "{diff:?}");
-        assert_eq!(diff.max_loss_diff, 0.0, "{diff:?}");
-    }
-
-    #[test]
-    fn equivalence_holds_for_top1_gate() {
-        let cfg = ExecConfig {
-            top_k: 1,
-            ..ExecConfig::small()
-        };
-        let diff = compare_paradigms(&cfg, 2);
-        assert_eq!(diff.max_output_diff, 0.0, "{diff:?}");
-        assert_eq!(diff.max_weight_diff, 0.0, "{diff:?}");
-    }
-
-    #[test]
-    fn equivalence_holds_for_multi_expert_shards() {
-        // 16 experts over 4 workers → 4 experts per worker.
-        let cfg = ExecConfig {
-            experts: 16,
-            ..ExecConfig::small()
-        };
-        let diff = compare_paradigms(&cfg, 2);
-        assert_eq!(diff.max_output_diff, 0.0, "{diff:?}");
-        assert_eq!(diff.max_weight_diff, 0.0, "{diff:?}");
-    }
-
-    /// The acceptance bar for the unified engine: on a config whose
-    /// compiled plan mixes paradigms across blocks, `train_unified`
-    /// produces bitwise the outputs, losses, and final weights of both
-    /// pure engines on identical inputs.
-    #[test]
-    fn unified_matches_both_pure_engines_bitwise_on_mixed_plan() {
-        let cfg = ExecConfig::mixed_paradigms();
-        let (plan, un) = train_unified_with(&cfg, &PlanOpts::default(), 2);
-        let paradigms = plan.paradigms();
-        assert!(
-            paradigms.contains(&crate::paradigm::Paradigm::ExpertCentric)
-                && paradigms.contains(&crate::paradigm::Paradigm::DataCentric),
-            "plan must mix paradigms, got {paradigms:?}"
-        );
-        let ec = train_expert_centric(&cfg, 2);
-        let dc = train_data_centric(&cfg, 2);
-        for (name, pure) in [("expert-centric", &ec), ("data-centric", &dc)] {
-            let diff = diff_runs(&un, pure);
-            assert_eq!(diff.max_output_diff, 0.0, "vs {name}: {diff:?}");
-            assert_eq!(diff.max_weight_diff, 0.0, "vs {name}: {diff:?}");
-            assert_eq!(diff.max_loss_diff, 0.0, "vs {name}: {diff:?}");
+    /// Losses, outputs and weights equal element for element — zero
+    /// tolerance, and unlike `diff_runs` a NaN anywhere fails it.
+    fn assert_bitwise(a: &TrainRun, b: &TrainRun, what: &str) {
+        assert_eq!(a.losses, b.losses, "{what}: losses");
+        for (oa, ob) in a.outputs.iter().zip(&b.outputs) {
+            assert_eq!(oa.data(), ob.data(), "{what}: outputs");
         }
+        assert_eq!(a.experts, b.experts, "{what}: weights");
     }
 
+    /// The §3.2 claim and the driver claim in one table: on a uniform
+    /// and on a paradigm-mixing config, forced expert-centric, forced
+    /// data-centric and R-rule plans — each as a plain run and as
+    /// fault-free rounds — produce bitwise identical losses, outputs and
+    /// weights; and within a policy (the checkpoint embeds the plan
+    /// digest) the two drivers cut byte-identical end-of-run checkpoints.
     #[test]
-    fn all_engines_converge() {
-        let cfg = ExecConfig::small();
-        let ec = train_expert_centric(&cfg, 5);
-        let dc = train_data_centric(&cfg, 5);
-        let un = train_unified(&cfg, 5);
-        for run in [&ec, &dc, &un] {
-            for losses in &run.losses {
-                assert!(
-                    losses.last().unwrap() < losses.first().unwrap(),
-                    "{losses:?}"
+    fn every_policy_through_every_driver_is_bitwise_identical() {
+        const ITERS: u64 = 3;
+        for (name, cfg) in [
+            ("small", ExecConfig::small()),
+            ("mixed", ExecConfig::mixed_paradigms()),
+        ] {
+            let start = Cut::fresh(WorkerState::balanced_placement(&cfg));
+            let mut reference: Option<TrainRun> = None;
+            for policy in POLICIES {
+                let t = trainer(&cfg, policy);
+                let plain = t.run_from(
+                    local_mesh(cfg.world()),
+                    &start,
+                    None,
+                    ITERS,
+                    CheckpointPolicy::EveryN(ITERS),
                 );
+                let rounds = t
+                    .run_rounds(&RoundOpts::default(), ITERS, FaultPlan::default())
+                    .unwrap();
+                assert_eq!(rounds.recovery.crashes, 0);
+                assert_eq!(rounds.recovery.recoveries, 0);
+                assert_eq!(rounds.recovery.ckpts_written, ITERS * cfg.world() as u64);
+                assert!(rounds.elastic.epochs.is_empty());
+                assert!(!rounds.elastic.degraded);
+                assert_eq!(rounds.elastic.migrations, 0);
+                assert!(plain.ckpts.iter().all(Option::is_some));
+                assert_eq!(
+                    plain.ckpts, rounds.run.ckpts,
+                    "{name}/{policy:?}: checkpoints"
+                );
+                for (driver, run) in [("plain", plain), ("rounds", rounds.run)] {
+                    let what = format!("{name}/{policy:?}/{driver}");
+                    for losses in &run.losses {
+                        assert!(losses.last() < losses.first(), "{what}: {losses:?}");
+                    }
+                    match &reference {
+                        Some(r) => assert_bitwise(r, &run, &what),
+                        None => reference = Some(run),
+                    }
+                }
             }
         }
+        let mixed = trainer(&ExecConfig::mixed_paradigms(), ParadigmPolicy::Unified);
+        let paradigms = mixed.plan().paradigms();
+        assert!(
+            paradigms.contains(&Paradigm::ExpertCentric)
+                && paradigms.contains(&Paradigm::DataCentric),
+            "the R rule must mix paradigms on the mixed config, got {paradigms:?}"
+        );
+    }
+
+    #[test]
+    fn equivalence_holds_for_top1_gate_and_multi_expert_shards() {
+        for cfg in [
+            ExecConfig {
+                top_k: 1,
+                ..ExecConfig::small()
+            },
+            // 16 experts over 4 workers → 4 experts per worker.
+            ExecConfig {
+                experts: 16,
+                ..ExecConfig::small()
+            },
+        ] {
+            let ec = trainer(&cfg, ParadigmPolicy::ExpertCentric).run(2);
+            let dc = trainer(&cfg, ParadigmPolicy::DataCentric).run(2);
+            assert_bitwise(&ec, &dc, &format!("{cfg:?}"));
+        }
+    }
+
+    /// A plain run is one span: it cuts no checkpoint unless asked, and
+    /// a run restarted from its end-of-run cut continues it bitwise.
+    #[test]
+    fn a_run_restarted_from_its_own_cut_continues_bitwise() {
+        let cfg = ExecConfig::mixed_paradigms();
+        let t = trainer(&cfg, ParadigmPolicy::Unified);
+        let whole = t.run(4);
+        assert!(whole.ckpts.iter().all(Option::is_none));
+        let placement = WorkerState::balanced_placement(&cfg);
+        let head = t.run_from(
+            local_mesh(cfg.world()),
+            &Cut::fresh(placement.clone()),
+            None,
+            2,
+            CheckpointPolicy::EveryN(2),
+        );
+        let cut = Cut {
+            at_iter: 2,
+            placement,
+            ckpts: head.ckpts,
+        };
+        let tail = t.run_from(
+            local_mesh(cfg.world()),
+            &cut,
+            None,
+            4,
+            CheckpointPolicy::Never,
+        );
+        for rank in 0..cfg.world() {
+            assert_eq!(
+                whole.losses[rank][2..],
+                tail.losses[rank][..],
+                "rank {rank}"
+            );
+            assert_eq!(whole.outputs[rank].data(), tail.outputs[rank].data());
+        }
+        assert_eq!(whole.experts, tail.experts);
     }
 }

@@ -1,11 +1,12 @@
 //! Elastic expert placement: the versioned expert→rank table.
 //!
-//! The static layout (`owner_of_in(b, e) = e / experts_per_worker`) is
-//! just epoch 0 of a [`Placement`]: a per-block `expert → rank` table
-//! plus a liveness mask, bumped to a new epoch whenever experts move —
-//! either because a rank died permanently and its experts were drained
-//! onto survivors ([`Placement::drain`]), or because hot experts were
-//! swapped off an overloaded rank ([`Placement::rebalance`]). The table
+//! The static layout ([`Placement::balanced`]: `owner(b, e) = e /
+//! experts_per_worker(b)`) is just epoch 0 of a [`Placement`]: a
+//! per-block `expert → rank` table plus a liveness mask, bumped to a
+//! new epoch whenever experts move — either because a rank died
+//! permanently and its experts were drained onto survivors
+//! ([`Placement::drain`]), or because hot experts were swapped off an
+//! overloaded rank ([`Placement::rebalance`]). The table
 //! is part of the iteration-plan IR (digest-stable: a plan without a
 //! placement hashes exactly as before) and of v2 checkpoints, so a
 //! committed cut self-describes the layout it was taken under and
@@ -32,7 +33,7 @@ pub struct Move {
 }
 
 /// Versioned expert→rank table plus rank liveness — the elastic view of
-/// expert ownership shared by both numerical engines.
+/// expert ownership shared by both paradigms' block bodies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Placement {
     /// Epoch counter: bumped by every committed migration, so two tables

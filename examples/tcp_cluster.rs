@@ -7,10 +7,11 @@
 //! cargo run --release --example tcp_cluster
 //! ```
 
-use janus::comm::runtime::run_on;
 use janus::comm::tcp::tcp_mesh_localhost;
-use janus::core::exec::data_centric::{run_iteration, MachineShared};
-use janus::core::exec::model::{ExecConfig, WorkerState};
+use janus::core::exec::model::ExecConfig;
+use janus::core::exec::trainer::Trainer;
+use janus::core::plan::PlanOpts;
+use janus::core::ParadigmPolicy;
 
 fn main() {
     let cfg = ExecConfig {
@@ -27,27 +28,23 @@ fn main() {
     };
     println!("bringing up a {}-rank TCP mesh on localhost…", cfg.world());
     let endpoints = tcp_mesh_localhost(cfg.world()).expect("mesh setup");
-    let shared = MachineShared::for_cluster(&cfg);
+    let trainer = Trainer::new(
+        &cfg,
+        &PlanOpts {
+            policy: ParadigmPolicy::DataCentric,
+            ..PlanOpts::default()
+        },
+    );
+    let run = trainer.run_on(endpoints, 5);
 
-    let losses = run_on(endpoints, |comm| {
-        let mut state = WorkerState::init(&cfg, comm.rank());
-        let sh = &shared[cfg.machine_of(comm.rank())];
-        let mut losses = Vec::new();
-        for i in 0..5 {
-            let out = run_iteration(&comm, &mut state, sh, i).expect("iteration over TCP");
-            losses.push(out.loss);
-        }
-        losses
-    });
-
-    for (rank, curve) in losses.iter().enumerate() {
+    for (rank, curve) in run.losses.iter().enumerate() {
         let first = curve.first().expect("at least one iteration");
         let last = curve.last().expect("at least one iteration");
         println!("rank {rank}: loss {first:.4} → {last:.4}");
         assert!(last < first, "training must make progress");
     }
-    let stats = shared[0].cache.stats();
-    let (fetches, hits) = (stats.fetches, stats.hits);
+    // Every worker reports its machine's cache totals.
+    let (fetches, hits) = (run.comm[0].cache_fetches, run.comm[0].cache_hits);
     println!("\nmachine-0 cache: {fetches} cross-machine fetches, {hits} local hits");
     println!("every expert crossed the wire once per machine per block per iteration —");
     println!("the hierarchical fetch working over real sockets.");

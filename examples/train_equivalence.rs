@@ -1,23 +1,34 @@
-//! Real distributed MoE training in all three engines, demonstrating the
-//! paper's equivalence claim (§3.2) numerically — and bitwise.
+//! Real distributed MoE training under all three paradigm policies,
+//! demonstrating the paper's equivalence claim (§3.2) numerically — and
+//! bitwise.
 //!
 //! Spawns one thread per simulated GPU, connected by an in-process
-//! message mesh. The data-centric run exercises the full Janus Task
-//! Queue: pull requests, the per-machine expert cache, and gradient
-//! pre-reduction. The unified run executes a compiled `IterationPlan`
-//! that mixes paradigms across blocks. Outputs, losses, and trained
-//! weights of all three match the All-to-All baseline bit for bit.
+//! message mesh. One `Trainer` per compiled plan: the forced
+//! data-centric plan exercises the full Janus Task Queue (pull requests,
+//! the per-machine expert cache, gradient pre-reduction), the forced
+//! expert-centric plan is the All-to-All baseline, and the R-rule plan
+//! mixes paradigms across blocks. Outputs, losses, and trained weights
+//! of all three match bit for bit.
 //!
 //! ```text
 //! cargo run --release --example train_equivalence
 //! ```
 
 use janus::core::exec::model::ExecConfig;
-use janus::core::exec::trainer::{
-    compare_paradigms, diff_runs, train_data_centric, train_unified_with,
-};
+use janus::core::exec::trainer::{diff_runs, Trainer};
 use janus::core::plan::PlanOpts;
-use janus::core::Paradigm;
+use janus::core::{Paradigm, ParadigmPolicy};
+
+/// A trainer whose plan runs every block under `policy`.
+fn forced(cfg: &ExecConfig, policy: ParadigmPolicy) -> Trainer {
+    Trainer::new(
+        cfg,
+        &PlanOpts {
+            policy,
+            ..PlanOpts::default()
+        },
+    )
+}
 
 fn main() {
     let cfg = ExecConfig {
@@ -41,17 +52,21 @@ fn main() {
     );
 
     let iters = 8;
-    let run = train_data_centric(&cfg, iters);
+    let run = forced(&cfg, ParadigmPolicy::DataCentric).run(iters);
     println!("data-centric loss curve (worker 0):");
     for (i, loss) in run.losses[0].iter().enumerate() {
         println!("  iter {i}: {loss:.4}");
     }
 
     // §3.2's claim: moving experts instead of tokens changes nothing
-    // numerically. Both engines compute per-source-worker gradients and
-    // fold them in the same pre-reduction order, so the equivalence is
-    // bitwise across any number of updates — not just statistical.
-    let diff = compare_paradigms(&cfg, iters);
+    // numerically. Both paradigms' block bodies compute per-source-worker
+    // gradients and fold them in the same pre-reduction order, so the
+    // equivalence is bitwise across any number of updates — not just
+    // statistical.
+    let diff = diff_runs(
+        &forced(&cfg, ParadigmPolicy::ExpertCentric).run(iters),
+        &run,
+    );
     println!("\nexpert-centric vs data-centric after {iters} iterations:");
     println!("  max |Δ output|  = {:.3e}", diff.max_output_diff);
     println!("  max |Δ weights| = {:.3e}", diff.max_weight_diff);
@@ -60,12 +75,14 @@ fn main() {
     assert_eq!(diff.max_weight_diff, 0.0);
     assert_eq!(diff.max_loss_diff, 0.0);
 
-    // The unified engine executes a compiled per-block plan. On the
-    // mixed config the R-rule picks data-centric for the small block and
-    // expert-centric for the large one — and the run still matches the
-    // pure engines exactly.
+    // By default the plan is compiled per block. On the mixed config the
+    // R-rule picks data-centric for the small block and expert-centric
+    // for the large one — and the run still matches the forced plans
+    // exactly.
     let mixed = ExecConfig::mixed_paradigms();
-    let (plan, unified) = train_unified_with(&mixed, &PlanOpts::default(), iters);
+    let trainer = Trainer::new(&mixed, &PlanOpts::default());
+    let plan = trainer.plan();
+    let unified = trainer.run(iters);
     println!(
         "\nunified run on a mixed plan (digest {:#018x}):",
         plan.digest()
@@ -82,9 +99,12 @@ fn main() {
             }
         );
     }
-    let udiff = diff_runs(&unified, &train_data_centric(&mixed, iters));
+    let udiff = diff_runs(
+        &unified,
+        &forced(&mixed, ParadigmPolicy::DataCentric).run(iters),
+    );
     println!(
-        "  max |Δ weights| vs pure data-centric = {:.3e}",
+        "  max |Δ weights| vs forced data-centric = {:.3e}",
         udiff.max_weight_diff
     );
     assert_eq!(udiff.max_output_diff, 0.0);

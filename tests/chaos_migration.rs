@@ -23,12 +23,13 @@ use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use janus::comm::faulty::{FaultPlan, Partition};
+use janus::comm::faulty::{CrashAt, CrashPoint, FaultPlan, Partition};
+use janus::comm::local::local_mesh;
 use janus::comm::reliable::RetransmitPolicy;
-use janus::core::exec::elastic::{
-    resume_from_cut, train_elastic, ElasticOpts, ElasticOutcome, GateSkew, PermanentDeath,
-};
+use janus::core::ckpt::CheckpointPolicy;
+use janus::core::exec::elastic::{GateSkew, PermanentDeath, RoundOpts, RoundsOutcome};
 use janus::core::exec::model::ExecConfig;
+use janus::core::exec::trainer::Trainer;
 use janus::core::plan::PlanOpts;
 use janus::tensor::pool;
 
@@ -90,7 +91,7 @@ fn with_watchdog<R: Send + 'static>(
 
 /// No committed epoch may ever be torn: every cut's table validates,
 /// epochs only move forward, and the ledger agrees with the cuts.
-fn assert_never_torn(out: &ElasticOutcome) {
+fn assert_never_torn(out: &RoundsOutcome) {
     let mut last_epoch = 0;
     for cut in &out.cuts {
         cut.placement.assert_valid();
@@ -110,7 +111,7 @@ fn assert_never_torn(out: &ElasticOutcome) {
         }
     }
     assert_eq!(
-        out.report.epochs.len(),
+        out.elastic.epochs.len(),
         out.cuts.len(),
         "every committed epoch must produce a cut"
     );
@@ -118,10 +119,17 @@ fn assert_never_torn(out: &ElasticOutcome) {
 
 /// The elastic continuation past the last committed cut must be bitwise
 /// identical to a fresh run started from that cut.
-fn assert_bitwise_resume(cfg: &ExecConfig, el: &ElasticOpts, out: &ElasticOutcome, label: &str) {
+fn assert_bitwise_resume(trainer: &Trainer, el: &RoundOpts, out: &RoundsOutcome, label: &str) {
     let cut = out.cuts.last().expect("run committed at least one epoch");
-    let reference = resume_from_cut(cfg, &PlanOpts::default(), el.skew.as_ref(), cut, ITERS);
-    for rank in 0..cfg.world() {
+    let world = trainer.cfg().world();
+    let reference = trainer.run_from(
+        local_mesh(world),
+        cut,
+        el.skew.as_ref(),
+        ITERS,
+        CheckpointPolicy::Never,
+    );
+    for rank in 0..world {
         if !cut.placement.is_live(rank) {
             continue;
         }
@@ -147,6 +155,7 @@ fn permanent_death_inside_partition_window_drains_and_completes() {
     with_watchdog("death-in-partition", Duration::from_secs(240), || {
         let _sweep = THREAD_SWEEP.lock().unwrap_or_else(|p| p.into_inner());
         let cfg = cfg();
+        let trainer = Trainer::new(&cfg, &PlanOpts::default());
         let dead = cfg.world() - 1;
         for seed in chaos_seeds() {
             let faults = FaultPlan {
@@ -160,7 +169,7 @@ fn permanent_death_inside_partition_window_drains_and_completes() {
                 }],
                 ..FaultPlan::default()
             };
-            let el = ElasticOpts {
+            let el = RoundOpts {
                 ckpt_every: 2,
                 retransmit: chaos_policy(),
                 deaths: vec![PermanentDeath {
@@ -168,29 +177,30 @@ fn permanent_death_inside_partition_window_drains_and_completes() {
                     at_iter: 3,
                     during_migration: false,
                 }],
-                ..ElasticOpts::default()
+                ..RoundOpts::default()
             };
-            let mut across: Option<ElasticOutcome> = None;
+            let mut across: Option<RoundsOutcome> = None;
             for threads in [1usize, 4] {
                 pool::set_threads(threads);
                 let label = format!("death-in-partition seed={seed:#x} threads={threads}");
-                let out = train_elastic(&cfg, &PlanOpts::default(), &el, ITERS, faults.clone())
+                let out = trainer
+                    .run_rounds(&el, ITERS, faults.clone())
                     .unwrap_or_else(|e| panic!("{label}: {e}"));
 
-                assert!(out.report.degraded, "{label}: run must finish degraded");
-                assert_eq!(out.report.dead_ranks, vec![dead], "{label}");
+                assert!(out.elastic.degraded, "{label}: run must finish degraded");
+                assert_eq!(out.elastic.dead_ranks, vec![dead], "{label}");
                 assert!(
-                    out.report
+                    out.elastic
                         .epochs
                         .iter()
                         .any(|e| e.reason.contains(&format!("drain rank {dead}"))),
                     "{label}: no drain epoch committed: {:?}",
-                    out.report.epochs
+                    out.elastic.epochs
                 );
                 assert!(
-                    out.report.recoveries >= 1 && out.report.replayed_iterations >= 1,
+                    out.elastic.recoveries >= 1 && out.elastic.replayed_iterations >= 1,
                     "{label}: the death must cost a replayed round: {:?}",
-                    out.report
+                    out.elastic
                 );
                 // Survivors trained to the end; the corpse kept only its
                 // committed prefix.
@@ -207,14 +217,14 @@ fn permanent_death_inside_partition_window_drains_and_completes() {
                 assert_eq!(totals.degraded, 1, "{label}: degraded counter: {totals:?}");
 
                 assert_never_torn(&out);
-                assert_bitwise_resume(&cfg, &el, &out, &label);
+                assert_bitwise_resume(&trainer, &el, &out, &label);
                 if let Some(prev) = &across {
                     assert_eq!(
                         prev.run.losses, out.run.losses,
                         "{label}: thread count changed the loss history"
                     );
                     assert_eq!(
-                        prev.report.final_placement_digest, out.report.final_placement_digest,
+                        prev.elastic.final_placement_digest, out.elastic.final_placement_digest,
                         "{label}: thread count changed the final placement"
                     );
                 }
@@ -234,12 +244,13 @@ fn death_during_migration_aborts_cleanly_and_commits_on_retry() {
     with_watchdog("death-mid-migration", Duration::from_secs(240), || {
         let _sweep = THREAD_SWEEP.lock().unwrap_or_else(|p| p.into_inner());
         let cfg = cfg();
+        let trainer = Trainer::new(&cfg, &PlanOpts::default());
         let skew = GateSkew {
             block: 0,
             expert: 0,
             boost: 8.0,
         };
-        let el = ElasticOpts {
+        let el = RoundOpts {
             ckpt_every: 2,
             retransmit: chaos_policy(),
             skew_ratio: 1.2,
@@ -250,26 +261,30 @@ fn death_during_migration_aborts_cleanly_and_commits_on_retry() {
                 at_iter: 0,
                 during_migration: true,
             }],
-            ..ElasticOpts::default()
+            ..RoundOpts::default()
         };
-        let mut across: Option<ElasticOutcome> = None;
+        let mut across: Option<RoundsOutcome> = None;
         for threads in [1usize, 4] {
             pool::set_threads(threads);
             let label = format!("death-mid-migration threads={threads}");
-            let out = train_elastic(&cfg, &PlanOpts::default(), &el, ITERS, FaultPlan::default())
+            let out = trainer
+                .run_rounds(&el, ITERS, FaultPlan::default())
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
 
             assert!(
-                out.report.aborted_migrations >= 1,
+                out.elastic.aborted_migrations >= 1,
                 "{label}: the mid-exchange death must abort an attempt: {:?}",
-                out.report
+                out.elastic
             );
-            assert!(out.report.degraded, "{label}: rank 0 is gone for good");
-            assert_eq!(out.report.dead_ranks, vec![0], "{label}");
+            assert!(out.elastic.degraded, "{label}: rank 0 is gone for good");
+            assert_eq!(out.elastic.dead_ranks, vec![0], "{label}");
             assert!(
-                out.report.epochs.iter().any(|e| e.reason.contains("drain")),
+                out.elastic
+                    .epochs
+                    .iter()
+                    .any(|e| e.reason.contains("drain")),
                 "{label}: the retry must drain the corpse: {:?}",
-                out.report.epochs
+                out.elastic.epochs
             );
             // Survivors still finished the full schedule.
             for rank in 1..cfg.world() {
@@ -280,19 +295,70 @@ fn death_during_migration_aborts_cleanly_and_commits_on_retry() {
                 );
             }
             assert_never_torn(&out);
-            assert_bitwise_resume(&cfg, &el, &out, &label);
+            assert_bitwise_resume(&trainer, &el, &out, &label);
             if let Some(prev) = &across {
                 assert_eq!(
                     prev.run.losses, out.run.losses,
                     "{label}: thread count changed the loss history"
                 );
                 assert_eq!(
-                    prev.report.final_placement_digest, out.report.final_placement_digest,
+                    prev.elastic.final_placement_digest, out.elastic.final_placement_digest,
                     "{label}: thread count changed the final placement"
                 );
             }
             across = Some(out);
         }
         pool::set_threads(0); // restore the JANUS_THREADS/env default
+    })
+}
+
+/// Both ledgers from one loop: a skew-triggered rebalance commits at the
+/// first boundary, then a transient crash in round 2 is replayed from the
+/// committed cut under the migrated placement. The recovery ledger
+/// counts the replay, the elastic ledger counts the epoch, and the whole
+/// run past the migration is still bitwise the reference started from
+/// the post-migration cut.
+#[test]
+fn crash_after_a_rebalance_fills_both_ledgers_and_resumes_bitwise() {
+    with_watchdog("crash-after-rebalance", Duration::from_secs(240), || {
+        let cfg = cfg();
+        let trainer = Trainer::new(&cfg, &PlanOpts::default());
+        let el = RoundOpts {
+            ckpt_every: 2,
+            retransmit: chaos_policy(),
+            skew_ratio: 1.2,
+            max_moves: 4,
+            skew: Some(GateSkew {
+                block: 0,
+                expert: 0,
+                boost: 8.0,
+            }),
+            ..RoundOpts::default()
+        };
+        let faults = FaultPlan {
+            crashes: vec![CrashPoint {
+                rank: 2,
+                at: CrashAt::Iteration(3),
+            }],
+            ..FaultPlan::default()
+        };
+        let out = trainer.run_rounds(&el, ITERS, faults).unwrap();
+
+        assert_eq!(out.recovery.recoveries, 1, "{:?}", out.recovery);
+        assert_eq!(out.recovery.replayed_iterations, 2, "{:?}", out.recovery);
+        assert_eq!(
+            out.recovery.ckpts_restored,
+            cfg.world() as u64,
+            "round 2 replays from the cut at iteration 2: {:?}",
+            out.recovery
+        );
+        assert_eq!(out.elastic.recoveries, 1, "{:?}", out.elastic);
+        assert_eq!(out.elastic.epochs.len(), 1, "{:?}", out.elastic.epochs);
+        assert_eq!(out.elastic.epochs[0].at_iter, 0);
+        assert!(out.elastic.epochs[0].reason.contains("skew rebalance"));
+        assert_eq!(out.elastic.aborted_migrations, 0, "{:?}", out.elastic);
+        assert!(!out.elastic.degraded);
+        assert_never_torn(&out);
+        assert_bitwise_resume(&trainer, &el, &out, "crash-after-rebalance");
     })
 }

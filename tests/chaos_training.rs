@@ -10,7 +10,7 @@
 //! fault profiles, chaos seeds, and compute thread counts.
 //!
 //! The crash dimension goes further: `CrashPoint`s kill whole ranks
-//! mid-iteration or mid-send, the supervisor restores the survivors'
+//! mid-iteration or mid-send, the round driver restores the survivors'
 //! world from the latest committed checkpoint cut, and the finished run
 //! must *still* be bitwise identical to the fault-free one.
 //!
@@ -27,11 +27,13 @@ use janus::comm::local::local_mesh;
 use janus::comm::reliable::{ReliableTransport, RetransmitPolicy};
 use janus::comm::runtime::run_on;
 use janus::comm::transport::CommError;
-use janus::core::exec::data_centric::{self, MachineShared};
+use janus::core::exec::data_centric::MachineShared;
+use janus::core::exec::elastic::RoundOpts;
 use janus::core::exec::model::{CommSnapshot, ExecConfig, PullRetryPolicy, WorkerState};
-use janus::core::exec::supervisor::{train_supervised, SupervisorOpts};
-use janus::core::exec::trainer::{diff_runs, train_unified, train_unified_on, TrainRun};
+use janus::core::exec::trainer::{diff_runs, TrainRun, Trainer};
+use janus::core::exec::unified;
 use janus::core::plan::PlanOpts;
+use janus::core::ParadigmPolicy;
 use janus::tensor::pool;
 
 const ITERS: u64 = 3;
@@ -208,10 +210,11 @@ fn chaos_matrix_is_bitwise_identical_to_fault_free_run() {
     with_watchdog("matrix", Duration::from_secs(240), || {
         let _sweep = THREAD_SWEEP.lock().unwrap_or_else(|p| p.into_inner());
         let cfg = cfg();
+        let trainer = Trainer::new(&cfg, &PlanOpts::default());
         let mut baseline_across_threads: Option<TrainRun> = None;
         for threads in [1usize, 4] {
             pool::set_threads(threads);
-            let baseline = train_unified(&cfg, ITERS);
+            let baseline = trainer.run(ITERS);
             let clean = total_counters(&baseline);
             assert_eq!(
                 clean,
@@ -226,7 +229,7 @@ fn chaos_matrix_is_bitwise_identical_to_fault_free_run() {
             }
             for seed in chaos_seeds() {
                 for (name, plan) in fault_matrix(seed, cfg.world()) {
-                    let run = train_unified_on(chaos_mesh(cfg.world(), &plan), &cfg, ITERS);
+                    let run = trainer.run_on(chaos_mesh(cfg.world(), &plan), ITERS);
                     let d = diff_runs(&baseline, &run);
                     let label = format!("{name} seed={seed:#x} threads={threads}");
                     assert_eq!(d.max_output_diff, 0.0, "{label}: {d:?}");
@@ -271,12 +274,9 @@ fn chaos_matrix_is_bitwise_identical_to_fault_free_run() {
 /// the run, optionally layered with link faults. The tuple's last field
 /// is the minimum number of checkpoint restores the scenario must cause
 /// (0 when the crash lands in the first round, which replays from
-/// initialization rather than a committed cut).
-fn crash_matrix(seed: u64, world: usize) -> Vec<(&'static str, FaultPlan, SupervisorOpts, u64)> {
-    let sup = SupervisorOpts {
-        retransmit: chaos_policy(),
-        ..SupervisorOpts::default()
-    };
+/// initialization rather than a committed cut); the field before it is
+/// the round length (`ckpt_every`).
+fn crash_matrix(seed: u64, world: usize) -> Vec<(&'static str, FaultPlan, u64, u64)> {
     vec![
         (
             // Rank dies entering iteration 1; cut 1 is already committed,
@@ -290,7 +290,7 @@ fn crash_matrix(seed: u64, world: usize) -> Vec<(&'static str, FaultPlan, Superv
                 }],
                 ..FaultPlan::default()
             },
-            sup,
+            1,
             world as u64,
         ),
         (
@@ -307,7 +307,7 @@ fn crash_matrix(seed: u64, world: usize) -> Vec<(&'static str, FaultPlan, Superv
                 }],
                 ..FaultPlan::default()
             },
-            sup,
+            1,
             0,
         ),
         (
@@ -323,10 +323,7 @@ fn crash_matrix(seed: u64, world: usize) -> Vec<(&'static str, FaultPlan, Superv
                 }],
                 ..FaultPlan::default()
             },
-            SupervisorOpts {
-                ckpt_every: 2,
-                ..sup
-            },
+            2,
             world as u64,
         ),
         (
@@ -344,7 +341,7 @@ fn crash_matrix(seed: u64, world: usize) -> Vec<(&'static str, FaultPlan, Superv
                 }],
                 ..FaultPlan::default()
             },
-            sup,
+            1,
             world as u64,
         ),
         (
@@ -365,7 +362,7 @@ fn crash_matrix(seed: u64, world: usize) -> Vec<(&'static str, FaultPlan, Superv
                 ],
                 ..FaultPlan::default()
             },
-            sup,
+            1,
             2 * world as u64,
         ),
     ]
@@ -379,17 +376,24 @@ fn crash_recovery_is_bitwise_identical_to_fault_free_run() {
     with_watchdog("crash", Duration::from_secs(240), || {
         let _sweep = THREAD_SWEEP.lock().unwrap_or_else(|p| p.into_inner());
         let cfg = cfg();
-        let opts = PlanOpts::default();
+        let trainer = Trainer::new(&cfg, &PlanOpts::default());
         for threads in [1usize, 4] {
             pool::set_threads(threads);
-            let baseline = train_unified(&cfg, ITERS);
+            let baseline = trainer.run(ITERS);
             for seed in chaos_seeds() {
-                for (name, faults, sup, min_restores) in crash_matrix(seed, cfg.world()) {
+                for (name, faults, ckpt_every, min_restores) in crash_matrix(seed, cfg.world()) {
                     let n_crashes = faults.crashes.len() as u64;
                     let label = format!("{name} seed={seed:#x} threads={threads}");
-                    let (_, run, report) = train_supervised(&cfg, &opts, &sup, ITERS, faults)
-                        .unwrap_or_else(|e| panic!("{label}: supervisor failed: {e}"));
-                    let d = diff_runs(&baseline, &run);
+                    let opts = RoundOpts {
+                        ckpt_every,
+                        retransmit: chaos_policy(),
+                        ..RoundOpts::default()
+                    };
+                    let out = trainer
+                        .run_rounds(&opts, ITERS, faults)
+                        .unwrap_or_else(|e| panic!("{label}: round driver failed: {e}"));
+                    let report = out.recovery;
+                    let d = diff_runs(&baseline, &out.run);
                     assert_eq!(d.max_output_diff, 0.0, "{label}: {d:?}");
                     assert_eq!(d.max_weight_diff, 0.0, "{label}: {d:?}");
                     assert_eq!(d.max_loss_diff, 0.0, "{label}: {d:?}");
@@ -452,6 +456,10 @@ fn unanswered_pull_fails_with_block_expert_peer_diagnostic() {
             seed: 7,
             lr: 0.03,
         };
+        let plan = cfg.compile_plan(&PlanOpts {
+            policy: ParadigmPolicy::DataCentric,
+            ..PlanOpts::default()
+        });
         let shared = MachineShared::for_cluster(&cfg);
         let done = Arc::new(AtomicBool::new(false));
         let results = run_on(local_mesh(cfg.world()), |comm| {
@@ -469,7 +477,7 @@ fn unanswered_pull_fails_with_block_expert_peer_diagnostic() {
                 max_attempts: 3,
             };
             let sh = &shared[cfg.machine_of(comm.rank())];
-            let out = data_centric::run_iteration(&comm, &mut state, sh, 0);
+            let out = unified::run_iteration(&comm, &mut state, sh, &plan, 0);
             done.store(true, Ordering::Release);
             Some((out, state.comm.snapshot()))
         });

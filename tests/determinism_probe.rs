@@ -1,9 +1,9 @@
 //! Training-level determinism: run-to-run and across thread counts.
 
 use janus::core::exec::model::ExecConfig;
-use janus::core::exec::trainer::{
-    train_data_centric, train_expert_centric, train_unified, TrainRun,
-};
+use janus::core::exec::trainer::{TrainRun, Trainer};
+use janus::core::plan::PlanOpts;
+use janus::core::ParadigmPolicy;
 use janus::tensor::{pool, simd};
 
 fn cfg() -> ExecConfig {
@@ -19,6 +19,26 @@ fn cfg() -> ExecConfig {
         seed: 99,
         lr: 0.03,
     }
+}
+
+fn train(cfg: &ExecConfig, policy: ParadigmPolicy, iters: u64) -> TrainRun {
+    let opts = PlanOpts {
+        policy,
+        ..PlanOpts::default()
+    };
+    Trainer::new(cfg, &opts).run(iters)
+}
+
+fn train_data_centric(cfg: &ExecConfig, iters: u64) -> TrainRun {
+    train(cfg, ParadigmPolicy::DataCentric, iters)
+}
+
+fn train_expert_centric(cfg: &ExecConfig, iters: u64) -> TrainRun {
+    train(cfg, ParadigmPolicy::ExpertCentric, iters)
+}
+
+fn train_unified(cfg: &ExecConfig, iters: u64) -> TrainRun {
+    train(cfg, ParadigmPolicy::Unified, iters)
 }
 
 fn assert_runs_identical(a: &TrainRun, b: &TrainRun, what: &str) {

@@ -1,16 +1,11 @@
-//! Cross-crate integration tests for the numerical engines: real MoE
-//! training over real transports in both paradigms.
+//! Cross-crate integration tests for the numerical engine: real MoE
+//! training over real transports under every paradigm policy.
 
-use janus::comm::runtime::{run_on, run_workers};
 use janus::comm::tcp::tcp_mesh_localhost;
-use janus::core::exec::data_centric::{self, MachineShared};
-use janus::core::exec::expert_centric;
-use janus::core::exec::model::{ExecConfig, WorkerState};
-use janus::core::exec::trainer::{
-    compare_paradigms, diff_runs, train_data_centric, train_expert_centric, train_unified,
-};
-use janus::core::exec::unified;
+use janus::core::exec::model::ExecConfig;
+use janus::core::exec::trainer::{diff_runs, Trainer};
 use janus::core::plan::PlanOpts;
+use janus::core::ParadigmPolicy;
 
 fn cfg() -> ExecConfig {
     ExecConfig {
@@ -27,9 +22,21 @@ fn cfg() -> ExecConfig {
     }
 }
 
+/// A trainer whose plan runs every block under `policy`.
+fn forced(cfg: &ExecConfig, policy: ParadigmPolicy) -> Trainer {
+    Trainer::new(
+        cfg,
+        &PlanOpts {
+            policy,
+            ..PlanOpts::default()
+        },
+    )
+}
+
 /// The §3.2 equivalence claim end to end: identical forward results and
-/// identical weight trajectories — bitwise, since both engines fold
-/// per-source gradients in the same pre-reduction order.
+/// identical weight trajectories — bitwise, since both paradigms fold
+/// per-source gradients in the same pre-reduction order — at every
+/// cluster shape.
 #[test]
 fn paradigms_match_across_transports_and_scales() {
     for machines in [1usize, 2] {
@@ -42,94 +49,55 @@ fn paradigms_match_across_transports_and_scales() {
                 gpus_per_machine: gpus,
                 ..cfg()
             };
-            let diff = compare_paradigms(&cfg, 2);
+            let diff = diff_runs(
+                &forced(&cfg, ParadigmPolicy::ExpertCentric).run(2),
+                &forced(&cfg, ParadigmPolicy::DataCentric).run(2),
+            );
             assert_eq!(diff.max_output_diff, 0.0, "{machines}x{gpus}: {diff:?}");
             assert_eq!(diff.max_weight_diff, 0.0, "{machines}x{gpus}: {diff:?}");
         }
     }
 }
 
-/// The unified engine over a real TCP transport: a mixed-paradigm plan
+/// The R-rule plan over a real TCP transport: a mixed-paradigm plan
 /// converges, and its losses match the in-process mesh bitwise.
 #[test]
 fn unified_training_runs_over_tcp() {
     let cfg = ExecConfig::mixed_paradigms();
-    let plan = cfg.compile_plan(&PlanOpts::default());
-    let shared = MachineShared::for_cluster(&cfg);
+    let trainer = Trainer::new(&cfg, &PlanOpts::default());
     let endpoints = tcp_mesh_localhost(cfg.world()).expect("tcp mesh");
-    let tcp_losses = run_on(endpoints, |comm| {
-        let mut state = WorkerState::init(&cfg, comm.rank());
-        let sh = &shared[cfg.machine_of(comm.rank())];
-        (0..3)
-            .map(|i| {
-                unified::run_iteration(&comm, &mut state, sh, &plan, i)
-                    .unwrap()
-                    .loss
-            })
-            .collect::<Vec<_>>()
-    });
-    let local = train_unified(&cfg, 3);
-    for (curve, local_curve) in tcp_losses.iter().zip(&local.losses) {
+    let tcp = trainer.run_on(endpoints, 3);
+    let local = trainer.run(3);
+    for (curve, local_curve) in tcp.losses.iter().zip(&local.losses) {
         assert!(curve.last().unwrap() < curve.first().unwrap(), "{curve:?}");
         assert_eq!(curve, local_curve, "transport must not change numerics");
     }
 }
 
-/// On a plan that mixes paradigms across blocks, the unified engine's
-/// whole run equals both pure engines bit for bit.
-#[test]
-fn unified_equals_pure_engines_end_to_end() {
-    let cfg = ExecConfig::mixed_paradigms();
-    let un = train_unified(&cfg, 2);
-    for pure in [train_expert_centric(&cfg, 2), train_data_centric(&cfg, 2)] {
-        let diff = diff_runs(&un, &pure);
-        assert_eq!(diff.max_output_diff, 0.0, "{diff:?}");
-        assert_eq!(diff.max_weight_diff, 0.0, "{diff:?}");
-        assert_eq!(diff.max_loss_diff, 0.0, "{diff:?}");
-    }
-}
-
-/// Both engines converge on both transports.
+/// The data-centric protocol converges over real sockets.
 #[test]
 fn training_converges_over_tcp() {
     let cfg = cfg();
-    let shared = MachineShared::for_cluster(&cfg);
     let endpoints = tcp_mesh_localhost(cfg.world()).expect("tcp mesh");
-    let losses = run_on(endpoints, |comm| {
-        let mut state = WorkerState::init(&cfg, comm.rank());
-        let sh = &shared[cfg.machine_of(comm.rank())];
-        (0..4)
-            .map(|i| {
-                data_centric::run_iteration(&comm, &mut state, sh, i)
-                    .unwrap()
-                    .loss
-            })
-            .collect::<Vec<_>>()
-    });
-    for curve in losses {
+    let run = forced(&cfg, ParadigmPolicy::DataCentric).run_on(endpoints, 4);
+    for curve in run.losses {
         assert!(curve.last().unwrap() < curve.first().unwrap(), "{curve:?}");
     }
 }
 
-/// The expert-centric engine also runs over TCP; the two transports give
-/// identical results (the protocol is transport-agnostic).
+/// The expert-centric collectives also run over TCP; the two transports
+/// give identical results (the protocol is transport-agnostic).
 #[test]
 fn transports_are_interchangeable() {
     let cfg = cfg();
-    let local = run_workers(cfg.world(), |comm| {
-        let mut state = WorkerState::init(&cfg, comm.rank());
-        expert_centric::run_iteration(&comm, &mut state, 0)
-            .unwrap()
-            .loss
-    });
+    let trainer = forced(&cfg, ParadigmPolicy::ExpertCentric);
+    let local = trainer.run(1);
     let endpoints = tcp_mesh_localhost(cfg.world()).expect("tcp mesh");
-    let tcp = run_on(endpoints, |comm| {
-        let mut state = WorkerState::init(&cfg, comm.rank());
-        expert_centric::run_iteration(&comm, &mut state, 0)
-            .unwrap()
-            .loss
-    });
-    assert_eq!(local, tcp, "same inputs and weights ⇒ bitwise-equal losses");
+    let tcp = trainer.run_on(endpoints, 1);
+    assert_eq!(
+        local.losses, tcp.losses,
+        "same inputs and weights ⇒ bitwise-equal losses"
+    );
 }
 
 /// The hierarchical cache works as specified: per machine, every external
@@ -138,26 +106,21 @@ fn transports_are_interchangeable() {
 #[test]
 fn cache_fetch_counts_match_the_hierarchical_design() {
     let cfg = cfg();
-    let shared = MachineShared::for_cluster(&cfg);
     let iters = 3u64;
-    run_workers(cfg.world(), |comm| {
-        let mut state = WorkerState::init(&cfg, comm.rank());
-        let sh = &shared[cfg.machine_of(comm.rank())];
-        for i in 0..iters {
-            data_centric::run_iteration(&comm, &mut state, sh, i).unwrap();
-        }
-    });
-    // 4 external experts per machine × 2 blocks × 3 iterations.
-    for sh in &shared {
-        let stats = sh.cache.stats();
-        let (fetches, hits) = (stats.fetches, stats.hits);
+    let run = forced(&cfg, ParadigmPolicy::DataCentric).run(iters);
+    // 4 external experts per machine × 2 blocks × 3 iterations; every
+    // worker reports its machine's cache totals. A cache that survived
+    // an iteration boundary would fetch less.
+    for c in &run.comm {
         assert_eq!(
-            fetches,
+            c.cache_fetches,
             4 * 2 * iters,
             "exactly one wire crossing per expert"
         );
-        assert!(hits >= fetches, "siblings must share the cached copies");
-        assert_eq!(sh.cache.epoch(), iters, "cache invalidated each iteration");
+        assert!(
+            c.cache_hits >= c.cache_fetches,
+            "siblings must share the cached copies"
+        );
     }
 }
 
@@ -170,29 +133,18 @@ fn data_centric_training_survives_chaos_transport() {
     use janus::comm::local::local_mesh;
 
     let cfg = cfg();
-    let clean = train_data_centric(&cfg, 3);
-
-    let shared = MachineShared::for_cluster(&cfg);
+    let trainer = forced(&cfg, ParadigmPolicy::DataCentric);
+    let clean = trainer.run(3);
     let endpoints: Vec<_> = local_mesh(cfg.world())
         .into_iter()
         .map(|t| FaultyTransport::new(t, FaultPlan::reorder_only(1234, 0.5, 0.3)))
         .collect();
-    let chaotic = run_on(endpoints, |comm| {
-        let mut state = WorkerState::init(&cfg, comm.rank());
-        let sh = &shared[cfg.machine_of(comm.rank())];
-        (0..3)
-            .map(|i| {
-                data_centric::run_iteration(&comm, &mut state, sh, i)
-                    .unwrap()
-                    .loss
-            })
-            .collect::<Vec<_>>()
-    });
+    let chaotic = trainer.run_on(endpoints, 3);
     // First-iteration losses are bitwise identical (no updates yet);
     // later iterations may differ by f32 summation-order noise because
     // gradient contributions arrive — and are summed — in a different
     // order at owners and aggregators.
-    for (c, h) in clean.losses.iter().zip(&chaotic) {
+    for (c, h) in clean.losses.iter().zip(&chaotic.losses) {
         assert_eq!(c[0], h[0], "pre-update loss must be bitwise identical");
         for (a, b) in c.iter().zip(h) {
             assert!(
@@ -203,22 +155,32 @@ fn data_centric_training_survives_chaos_transport() {
     }
 }
 
-/// Gradient pre-reduction: the trained weights of every replica agree —
-/// each owner applied exactly the full-world gradient sum.
+/// A failing plain run names the rank and the iteration it failed at:
+/// rank 1 dies on a send, and its peers' `PeerDead` surfaces through the
+/// one iteration loop's panic message.
 #[test]
-fn owners_apply_the_full_gradient_sum() {
+fn failing_plain_run_names_rank_and_iteration() {
+    use janus::comm::faulty::{CrashAt, CrashPoint, FaultPlan, FaultyTransport};
+    use janus::comm::liveness::{monitored_mesh, LivenessConfig};
+
     let cfg = cfg();
-    let dc = train_data_centric(&cfg, 2);
-    let ec = train_expert_centric(&cfg, 2);
-    for (rank, (d, e)) in dc.experts.iter().zip(&ec.experts).enumerate() {
-        for (bd, be) in d.iter().zip(e) {
-            for (xd, xe) in bd.iter().zip(be) {
-                assert_eq!(
-                    xd.w1.max_abs_diff(&xe.w1),
-                    0.0,
-                    "rank {rank}: weights must match bitwise"
-                );
-            }
-        }
-    }
+    let faults = FaultPlan {
+        crashes: vec![CrashPoint {
+            rank: 1,
+            at: CrashAt::SendOp(7),
+        }],
+        ..FaultPlan::default()
+    };
+    let mesh: Vec<_> = monitored_mesh(cfg.world(), LivenessConfig::default())
+        .into_iter()
+        .map(|t| FaultyTransport::new(t, faults.clone()))
+        .collect();
+    let trainer = Trainer::new(&cfg, &PlanOpts::default());
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| trainer.run_on(mesh, 2)))
+        .err()
+        .expect("a dead rank must fail the run");
+    let msg = panic
+        .downcast_ref::<String>()
+        .expect("the panic carries a message");
+    assert!(msg.contains("rank 0 at iteration 0: "), "{msg}");
 }

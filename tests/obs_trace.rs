@@ -6,7 +6,9 @@
 //! (the recorder is shared across this binary's test threads).
 
 use janus::core::exec::model::ExecConfig;
-use janus::core::exec::trainer::{diff_runs, train_data_centric, train_unified};
+use janus::core::exec::trainer::{diff_runs, Trainer};
+use janus::core::plan::PlanOpts;
+use janus::core::ParadigmPolicy;
 use janus::netsim::graph::TaskId;
 use janus::netsim::trace::{SimResult, TaskRecord};
 use janus::obs::{chrome_trace, validate_chrome_trace, FakeClock, Recorder, SpanMeta};
@@ -103,7 +105,11 @@ fn two_rank_training_run_traces_all_layers() {
         gpus_per_machine: 2,
         ..ExecConfig::small()
     };
-    let run = train_data_centric(&cfg, 1);
+    let opts = PlanOpts {
+        policy: ParadigmPolicy::DataCentric,
+        ..PlanOpts::default()
+    };
+    let run = Trainer::new(&cfg, &opts).run(1);
     rec.disable();
 
     assert!(!run.trace.is_empty());
@@ -130,14 +136,15 @@ fn two_rank_training_run_traces_all_layers() {
 fn recording_on_off_is_bitwise_identical_across_thread_counts() {
     let _guard = lock();
     let cfg = ExecConfig::mixed_paradigms();
+    let trainer = Trainer::new(&cfg, &PlanOpts::default());
     for threads in [1usize, 4] {
         pool::set_threads(threads);
         assert!(!janus::obs::global().enabled());
-        let off = train_unified(&cfg, 2);
+        let off = trainer.run(2);
         assert!(off.trace.is_empty(), "disabled run must record nothing");
 
         janus::obs::global().enable();
-        let on = train_unified(&cfg, 2);
+        let on = trainer.run(2);
         janus::obs::global().disable();
         assert!(!on.trace.is_empty(), "enabled run must record spans");
 
@@ -158,7 +165,7 @@ fn disabled_recording_stores_no_events() {
     assert!(!rec.enabled());
     let before = rec.event_count();
     let cfg = ExecConfig::small();
-    let run = train_unified(&cfg, 1);
+    let run = Trainer::new(&cfg, &PlanOpts::default()).run(1);
     assert!(run.trace.is_empty());
     assert_eq!(rec.event_count(), before);
 }

@@ -2,9 +2,7 @@
 
 use janus::core::ckpt::{Checkpoint, CkptError};
 use janus::core::exec::model::{ExecConfig, WorkerState};
-use janus::core::exec::trainer::{
-    diff_runs, train_data_centric, train_expert_centric, train_unified,
-};
+use janus::core::exec::trainer::{diff_runs, Trainer};
 use janus::core::plan::{expert_owner, fetch_plan, IterationPlan, PlanOpts};
 use janus::core::priority::{internal_priority, internal_pull_order, pcie_split};
 use janus::core::sim::engine::{build_graph, EngineOpts, ParadigmPolicy};
@@ -389,14 +387,18 @@ proptest! {
     // Each case trains three 4-worker clusters; keep the count low.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The unified engine executing a compiled mixed-paradigm plan is
-    /// bitwise identical to both pure numerical engines, for any seed.
+    /// The generated-seed form of the trainer's equivalence table: a
+    /// compiled mixed-paradigm plan is bitwise identical to both
+    /// forced-paradigm plans, for any seed.
     #[test]
-    fn unified_is_bitwise_equal_to_pure_engines(seed in any::<u64>()) {
+    fn unified_is_bitwise_equal_to_forced_paradigms(seed in any::<u64>()) {
         let cfg = ExecConfig { seed, ..ExecConfig::mixed_paradigms() };
-        let unified = train_unified(&cfg, 2);
-        for pure in [train_expert_centric(&cfg, 2), train_data_centric(&cfg, 2)] {
-            let d = diff_runs(&unified, &pure);
+        let train = |policy| {
+            Trainer::new(&cfg, &PlanOpts { policy, ..PlanOpts::default() }).run(2)
+        };
+        let unified = train(ParadigmPolicy::Unified);
+        for forced in [ParadigmPolicy::ExpertCentric, ParadigmPolicy::DataCentric] {
+            let d = diff_runs(&unified, &train(forced));
             prop_assert_eq!(d.max_output_diff, 0.0);
             prop_assert_eq!(d.max_weight_diff, 0.0);
             prop_assert_eq!(d.max_loss_diff, 0.0);
