@@ -29,6 +29,55 @@ pub struct AssignmentMatrix {
     pub counts: Vec<Vec<usize>>,
 }
 
+/// Buckets of the unit interval searched by [`SlotSampler`]; a power of
+/// two, so `k / BUCKETS` and `u * BUCKETS` are exact in `f64`.
+const BUCKETS: usize = 1 << 12;
+
+/// Inverse-CDF lookup that returns exactly
+/// `cdf.partition_point(|&c| c < u).min(len - 1)` for a nondecreasing
+/// `cdf`, with a table lookup and a short forward scan instead of a
+/// binary search.
+///
+/// `start[k]` is the answer for `u = k / BUCKETS`, the least `u` of
+/// bucket `k`. The predicate `c < u` only gains entries as `u` grows, so
+/// `start[⌊u · BUCKETS⌋]` is a lower bound of the answer for every `u` in
+/// the bucket, and scanning forward from it while `cdf[i] < u` lands on
+/// the same index the binary search finds.
+struct SlotSampler {
+    /// `cdf` followed by `+inf`, which ends every forward scan.
+    bounds: Vec<f64>,
+    start: Vec<u32>,
+}
+
+impl SlotSampler {
+    fn new(cdf: Vec<f64>) -> Self {
+        let mut bounds = cdf;
+        bounds.push(f64::INFINITY);
+        let mut i = 0;
+        let start = (0..BUCKETS)
+            .map(|k| {
+                let lo = k as f64 / BUCKETS as f64;
+                while bounds[i] < lo {
+                    i += 1;
+                }
+                i as u32
+            })
+            .collect();
+        SlotSampler { bounds, start }
+    }
+
+    /// Popularity slot of the uniform draw `u` in `[0, 1)`.
+    fn slot(&self, u: f64) -> usize {
+        // Through `u32`: a cheaper float-to-integer cast than `usize`.
+        let k = ((u * BUCKETS as f64) as u32).min(BUCKETS as u32 - 1) as usize;
+        let mut i = self.start[k] as usize;
+        while self.bounds[i] < u {
+            i += 1;
+        }
+        i.min(self.bounds.len() - 2)
+    }
+}
+
 impl AssignmentMatrix {
     /// Generate an assignment of `tokens_per_worker` token slots from each
     /// of `workers` workers over `experts` experts.
@@ -68,13 +117,18 @@ impl AssignmentMatrix {
                         Some(*acc)
                     })
                     .collect();
+                let sampler = SlotSampler::new(cdf);
+                let mut slots = vec![0usize; experts];
                 (0..workers)
                     .map(|_| {
-                        let mut row = vec![0usize; experts];
+                        slots.fill(0);
                         for _ in 0..tokens_per_worker {
                             let u: f64 = rng.random();
-                            let slot = cdf.partition_point(|&c| c < u).min(experts - 1);
-                            row[perm[slot]] += 1;
+                            slots[sampler.slot(u)] += 1;
+                        }
+                        let mut row = vec![0usize; experts];
+                        for (slot, &n) in slots.iter().enumerate() {
+                            row[perm[slot]] = n;
                         }
                         row
                     })
@@ -131,6 +185,93 @@ impl AssignmentMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference sampler: one binary search of the CDF per token, counted
+    /// straight into the permuted row.
+    fn generate_reference(
+        workers: usize,
+        experts: usize,
+        tokens_per_worker: usize,
+        s: f64,
+        seed: u64,
+    ) -> AssignmentMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let weights: Vec<f64> = (1..=experts)
+            .map(|rank| 1.0 / (rank as f64).powf(s))
+            .collect();
+        let mut perm: Vec<usize> = (0..experts).collect();
+        for i in (1..experts).rev() {
+            perm.swap(i, rng.random_range(0..=i));
+        }
+        let total: f64 = weights.iter().sum();
+        let cdf: Vec<f64> = weights
+            .iter()
+            .scan(0.0, |acc, w| {
+                *acc += w / total;
+                Some(*acc)
+            })
+            .collect();
+        let counts = (0..workers)
+            .map(|_| {
+                let mut row = vec![0usize; experts];
+                for _ in 0..tokens_per_worker {
+                    let u: f64 = rng.random();
+                    let slot = cdf.partition_point(|&c| c < u).min(experts - 1);
+                    row[perm[slot]] += 1;
+                }
+                row
+            })
+            .collect();
+        AssignmentMatrix { counts }
+    }
+
+    proptest! {
+        /// The table-driven sampler is the binary search, draw for draw.
+        #[test]
+        fn table_sampler_matches_binary_search(
+            workers in 1usize..5,
+            experts in 1usize..80,
+            tokens in 0usize..600,
+            s in 0.0f64..3.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            prop_assert_eq!(
+                AssignmentMatrix::generate(workers, experts, tokens, Imbalance::Zipf(s), seed),
+                generate_reference(workers, experts, tokens, s, seed)
+            );
+        }
+
+        /// Draws at both ends of a bucket and on either side of every CDF
+        /// entry land in the slot the binary search picks.
+        #[test]
+        fn slot_sampler_matches_partition_point_at_bucket_edges(
+            experts in 1usize..300,
+            s in 0.0f64..8.0,
+            k in 0usize..BUCKETS,
+        ) {
+            let weights: Vec<f64> = (1..=experts)
+                .map(|rank| 1.0 / (rank as f64).powf(s))
+                .collect();
+            let total: f64 = weights.iter().sum();
+            let cdf: Vec<f64> = weights
+                .iter()
+                .scan(0.0, |acc, w| {
+                    *acc += w / total;
+                    Some(*acc)
+                })
+                .collect();
+            let sampler = SlotSampler::new(cdf.clone());
+            let lo = k as f64 / BUCKETS as f64;
+            let hi = (k + 1) as f64 / BUCKETS as f64;
+            let mut probes = vec![lo, lo.next_up(), hi.next_down(), 1.0f64.next_down()];
+            probes.extend(cdf.iter().flat_map(|&c| [c.next_down(), c, c.next_up()]));
+            for u in probes.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                let want = cdf.partition_point(|&c| c < u).min(experts - 1);
+                prop_assert_eq!(sampler.slot(u), want, "u = {}", u);
+            }
+        }
+    }
 
     #[test]
     fn balanced_rows_are_exact() {

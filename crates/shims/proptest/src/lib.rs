@@ -71,11 +71,21 @@ impl ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 64 cases, or `PROPTEST_CASES` when it is set to a number (as
+    /// upstream proptest reads it). Upstream defaults to 256; 64 keeps the
+    /// heavier simulation properties fast while still exploring a
+    /// meaningful space.
     fn default() -> Self {
-        // Upstream defaults to 256; 64 keeps the heavier simulation
-        // properties fast while still exploring a meaningful space.
-        ProptestConfig { cases: 64 }
+        ProptestConfig {
+            cases: default_cases(std::env::var("PROPTEST_CASES").ok().as_deref()),
+        }
     }
+}
+
+/// Cases per property for a `PROPTEST_CASES` value: the value when it is
+/// a number, 64 otherwise.
+fn default_cases(var: Option<&str>) -> u32 {
+    var.and_then(|v| v.trim().parse().ok()).unwrap_or(64)
 }
 
 /// A generator of values of type `Self::Value`.
@@ -472,6 +482,14 @@ macro_rules! __proptest_impl {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+
+    #[test]
+    fn proptest_cases_sets_the_default_case_count() {
+        assert_eq!(super::default_cases(None), 64);
+        assert_eq!(super::default_cases(Some("2048")), 2048);
+        assert_eq!(super::default_cases(Some(" 7\n")), 7);
+        assert_eq!(super::default_cases(Some("many")), 64);
+    }
 
     #[test]
     fn ranges_and_vec_respect_bounds() {
