@@ -6,7 +6,7 @@
 //! with a seeded RNG so experiments are reproducible.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// How skewed the expert popularity distribution is.
@@ -29,32 +29,50 @@ pub struct AssignmentMatrix {
     pub counts: Vec<Vec<usize>>,
 }
 
-/// Buckets of the unit interval searched by [`SlotSampler`]; a power of
-/// two, so `k / BUCKETS` and `u * BUCKETS` are exact in `f64`.
+/// Buckets of the draw space searched by [`SlotSampler`]; a power of two,
+/// so a bucket is the top 12 bits of a draw.
 const BUCKETS: usize = 1 << 12;
+/// Bits of a draw below its bucket index.
+const BUCKET_SHIFT: u32 = u64::BITS - BUCKETS.trailing_zeros();
+/// Tags a [`SlotSampler`] entry whose bucket holds a CDF boundary.
+const SCAN: u32 = 1 << 31;
 
-/// Inverse-CDF lookup that returns exactly
-/// `cdf.partition_point(|&c| c < u).min(len - 1)` for a nondecreasing
-/// `cdf`, with a table lookup and a short forward scan instead of a
-/// binary search.
+/// Inverse-CDF lookup in the integer domain of the draw.
 ///
-/// `start[k]` is the answer for `u = k / BUCKETS`, the least `u` of
-/// bucket `k`. The predicate `c < u` only gains entries as `u` grows, so
-/// `start[⌊u · BUCKETS⌋]` is a lower bound of the answer for every `u` in
-/// the bucket, and scanning forward from it while `cdf[i] < u` lands on
-/// the same index the binary search finds.
+/// A draw is `x = next_u64()`. Its top 53 bits, `m = x >> 11`, are the
+/// integer the `rand` shim's `random::<f64>()` scales by 2⁻⁵³. For
+/// `u = m · 2⁻⁵³` the sampler returns exactly
+/// `p(u) = cdf.partition_point(|&c| c < u).min(len − 1)` for a
+/// nondecreasing `cdf`, so it draws the same slots as a binary search over
+/// `random::<f64>()`. Bucket `k = x >> 52` is `⌊u · BUCKETS⌋` exactly.
+///
+/// Let `start[k]` be the partition point at `k / BUCKETS`, the least `u`
+/// of bucket `k`, and `start[BUCKETS]` the one at `1.0`. The predicate
+/// `c < u` only gains entries as `u` grows, and so does `min(·, len − 1)`,
+/// so every `u` of bucket `k` has
+/// `min(start[k], len − 1) ≤ p(u) ≤ min(start[k + 1], len − 1)`.
+/// - When the two ends are equal the bucket is *direct*: every draw in it
+///   takes that slot, with no float and no read of `cdf`. The clamp makes
+///   every bucket with `start[k] ≥ len − 1` direct, such as the last one
+///   when the final CDF entry rounds to just below 1.0.
+/// - Otherwise a forward scan from `start[k]` while `cdf[i] < u` lands on
+///   the index the binary search finds. Each such bucket raises `p` by at
+///   least one, so at most `len − 1` of the buckets scan.
 struct SlotSampler {
     /// `cdf` followed by `+inf`, which ends every forward scan.
     bounds: Vec<f64>,
-    start: Vec<u32>,
+    /// Per bucket: the slot of a direct bucket, or `SCAN | start[k]`.
+    entry: Box<[u32; BUCKETS]>,
 }
 
 impl SlotSampler {
     fn new(cdf: Vec<f64>) -> Self {
+        assert!(cdf.len() <= SCAN as usize, "too many experts");
+        let last = cdf.len() as u32 - 1;
         let mut bounds = cdf;
         bounds.push(f64::INFINITY);
         let mut i = 0;
-        let start = (0..BUCKETS)
+        let start: Vec<u32> = (0..=BUCKETS)
             .map(|k| {
                 let lo = k as f64 / BUCKETS as f64;
                 while bounds[i] < lo {
@@ -63,14 +81,31 @@ impl SlotSampler {
                 i as u32
             })
             .collect();
-        SlotSampler { bounds, start }
+        let entry: Box<[u32; BUCKETS]> = start
+            .windows(2)
+            .map(|w| {
+                let (lo, hi) = (w[0].min(last), w[1].min(last));
+                if lo == hi {
+                    lo
+                } else {
+                    SCAN | w[0]
+                }
+            })
+            .collect::<Vec<u32>>()
+            .try_into()
+            .expect("one entry per bucket");
+        SlotSampler { bounds, entry }
     }
 
-    /// Popularity slot of the uniform draw `u` in `[0, 1)`.
-    fn slot(&self, u: f64) -> usize {
-        // Through `u32`: a cheaper float-to-integer cast than `usize`.
-        let k = ((u * BUCKETS as f64) as u32).min(BUCKETS as u32 - 1) as usize;
-        let mut i = self.start[k] as usize;
+    /// Popularity slot of the draw `x`.
+    #[inline]
+    fn slot(&self, x: u64) -> usize {
+        let e = self.entry[(x >> BUCKET_SHIFT) as usize];
+        if e & SCAN == 0 {
+            return e as usize;
+        }
+        let u = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let mut i = (e & !SCAN) as usize;
         while self.bounds[i] < u {
             i += 1;
         }
@@ -118,17 +153,25 @@ impl AssignmentMatrix {
                     })
                     .collect();
                 let sampler = SlotSampler::new(cdf);
-                let mut slots = vec![0usize; experts];
+                // Two interleaved histograms per slot, one for even and one
+                // for odd draws: back-to-back draws of the hot slot bump
+                // different counters, so neither waits on the other's store.
+                let mut hist = vec![[0usize; 2]; experts];
                 (0..workers)
                     .map(|_| {
-                        slots.fill(0);
-                        for _ in 0..tokens_per_worker {
-                            let u: f64 = rng.random();
-                            slots[sampler.slot(u)] += 1;
+                        hist.fill([0; 2]);
+                        for _ in 0..tokens_per_worker / 2 {
+                            let even = sampler.slot(rng.next_u64());
+                            let odd = sampler.slot(rng.next_u64());
+                            hist[even][0] += 1;
+                            hist[odd][1] += 1;
+                        }
+                        if tokens_per_worker % 2 == 1 {
+                            hist[sampler.slot(rng.next_u64())][0] += 1;
                         }
                         let mut row = vec![0usize; experts];
-                        for (slot, &n) in slots.iter().enumerate() {
-                            row[perm[slot]] = n;
+                        for (slot, [even, odd]) in hist.iter().enumerate() {
+                            row[perm[slot]] = even + odd;
                         }
                         row
                     })
@@ -242,13 +285,29 @@ mod tests {
             );
         }
 
-        /// Draws at both ends of a bucket and on either side of every CDF
-        /// entry land in the slot the binary search picks.
+        /// The same on steep, wide popularity curves: the CDF reaches 1.0
+        /// before its last slot, and many boundaries share one bucket.
+        #[test]
+        fn table_sampler_matches_binary_search_on_steep_wide_cdfs(
+            workers in 1usize..4,
+            experts in 1usize..=300,
+            tokens in 0usize..600,
+            s in 0.0f64..8.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            prop_assert_eq!(
+                AssignmentMatrix::generate(workers, experts, tokens, Imbalance::Zipf(s), seed),
+                generate_reference(workers, experts, tokens, s, seed)
+            );
+        }
+
+        /// Draws at both ends of every bucket and on either side of every
+        /// CDF entry land in the slot the binary search picks for
+        /// `u = m · 2⁻⁵³`, and at most `experts − 1` buckets scan.
         #[test]
         fn slot_sampler_matches_partition_point_at_bucket_edges(
-            experts in 1usize..300,
+            experts in 1usize..=300,
             s in 0.0f64..8.0,
-            k in 0usize..BUCKETS,
         ) {
             let weights: Vec<f64> = (1..=experts)
                 .map(|rank| 1.0 / (rank as f64).powf(s))
@@ -262,13 +321,19 @@ mod tests {
                 })
                 .collect();
             let sampler = SlotSampler::new(cdf.clone());
-            let lo = k as f64 / BUCKETS as f64;
-            let hi = (k + 1) as f64 / BUCKETS as f64;
-            let mut probes = vec![lo, lo.next_up(), hi.next_down(), 1.0f64.next_down()];
-            probes.extend(cdf.iter().flat_map(|&c| [c.next_down(), c, c.next_up()]));
-            for u in probes.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+            let scans = sampler.entry.iter().filter(|&&e| e & SCAN != 0).count();
+            prop_assert!(scans < experts, "{} scanning buckets", scans);
+            let mut probes: Vec<u64> = (0..BUCKETS as u64)
+                .flat_map(|k| [k << 41, (k << 41) + 1, ((k + 1) << 41) - 1])
+                .collect();
+            probes.extend(cdf.iter().flat_map(|&c| {
+                let m = (c * (1u64 << 53) as f64) as u64;
+                [m.saturating_sub(1), m, m + 1]
+            }));
+            for m in probes.into_iter().filter(|&m| m < 1 << 53) {
+                let u = m as f64 / (1u64 << 53) as f64;
                 let want = cdf.partition_point(|&c| c < u).min(experts - 1);
-                prop_assert_eq!(sampler.slot(u), want, "u = {}", u);
+                prop_assert_eq!(sampler.slot(m << 11), want, "m = {}", m);
             }
         }
     }
