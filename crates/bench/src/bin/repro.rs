@@ -4,7 +4,6 @@
 //! repro lab [--only <glob>]... [--jobs N] [--seed N] [--verify]
 //! repro list
 //! repro [plan|table1|...|faults|crash|trace|all]... [--json]
-//! repro bench [--check]
 //! ```
 //!
 //! `repro lab` runs the experiment DAG: independent tasks in parallel
@@ -17,19 +16,13 @@
 //! canonical (timing-masked) artifact digests.
 //!
 //! The experiment names (`fig12`, `faults`, ...) remain as thin aliases
-//! that run the matching task serially; `all` runs the default graph.
-//! Add `--json` to also dump each artifact's raw rows as JSON (for
+//! that run the matching task serially; `all` runs every task. Add
+//! `--json` to also dump each artifact's raw rows as JSON (for
 //! EXPERIMENTS.md bookkeeping).
 //!
-//! `repro bench` runs the perf suite (compute + transport) and rewrites
-//! the `BENCH_compute.json` / `BENCH_transport.json` baselines. With
-//! `--check` it instead compares the fresh run against the committed
-//! baselines and exits non-zero on a >10% regression in any gated
-//! ratio; set `UPDATE_BENCH=1` to force a baseline refresh even with
-//! `--check` (the CI perf shard runs `--check`, so refreshing baselines
-//! is always an explicit, reviewed act).
+//! Performance is measured by the perf ledger (`ledger/`, declared in
+//! `BENCHMARK.json`), not by this binary.
 
-use janus_bench::experiments::benchgate;
 use janus_bench::lab::registry;
 use janus_lab::{Dag, Executor, LabEnv, RunSummary, TaskStatus};
 use std::collections::BTreeSet;
@@ -77,7 +70,7 @@ fn run_lab(dag: &Dag, args: &[String]) -> i32 {
         }
     }
     let selected = if only.is_empty() {
-        dag.default_set()
+        dag.all()
     } else {
         match dag.select(&only) {
             Ok(sel) => sel,
@@ -130,9 +123,6 @@ fn print_task_list(dag: &Dag) {
         if t.exclusive {
             notes.push("exclusive".to_string());
         }
-        if !t.default_set {
-            notes.push("not in default set".to_string());
-        }
         if !t.deps.is_empty() {
             notes.push(format!("needs {}", t.deps.join(", ")));
         }
@@ -142,8 +132,7 @@ fn print_task_list(dag: &Dag) {
             eprintln!("  {:<12} ({})", t.name, notes.join("; "));
         }
     }
-    eprintln!("  all          (every default-set task, serially)");
-    eprintln!("  bench        (compute + transport; --check gates vs committed baselines)");
+    eprintln!("  all          (every task, serially)");
 }
 
 fn usage(msg: &str) -> i32 {
@@ -153,34 +142,22 @@ fn usage(msg: &str) -> i32 {
 }
 
 /// The pre-lab CLI: experiment names as serial aliases over the task
-/// registry, plus the `bench` baseline/gate verb.
+/// registry.
 fn run_legacy(dag: &Dag, args: &[String]) -> i32 {
     let mut names: Vec<String> = args.to_vec();
     let json = names.iter().any(|a| a == "--json");
-    let check = names.iter().any(|a| a == "--check");
-    names.retain(|a| a != "--json" && a != "--check");
+    names.retain(|a| a != "--json");
     if names.is_empty() || names.iter().any(|a| a == "all") {
         names = dag
             .topo_order(0)
             .into_iter()
-            .filter(|i| dag.default_set().contains(i))
             .map(|i| dag.tasks()[i].name.clone())
             .collect();
     }
 
     let exec = Executor::new(ARTIFACT_ROOT, 1, 0, LabEnv::detect());
     for name in &names {
-        let code = match name.as_str() {
-            "bench" => run_bench(dag, &exec, check, json),
-            "compute" | "transport" => {
-                let code = run_alias(dag, &exec, name, json);
-                if code == 0 {
-                    promote_baseline(name);
-                }
-                code
-            }
-            _ => run_alias(dag, &exec, name, json),
-        };
+        let code = run_alias(dag, &exec, name, json);
         if code != 0 {
             return code;
         }
@@ -208,77 +185,6 @@ fn run_alias(dag: &Dag, exec: &Executor, name: &str, json: bool) -> i32 {
         dump_artifacts(&dag.tasks()[idx].name);
     }
     0
-}
-
-/// `repro bench`: measure both perf suites; rewrite the root baselines,
-/// or with `--check` gate against them (one noise retry) and fail on
-/// regression.
-fn run_bench(dag: &Dag, exec: &Executor, check: bool, json: bool) -> i32 {
-    let update = std::env::var("UPDATE_BENCH").is_ok_and(|v| v == "1");
-    if check && !update {
-        let (_, _, gates) = benchgate::run_check();
-        if !benchgate::print(&gates) {
-            eprintln!(
-                "perf gate failed: a gated ratio regressed more than {:.0}% \
-                 below its committed baseline (UPDATE_BENCH=1 refreshes baselines \
-                 after an intentional change)",
-                benchgate::TOLERANCE * 100.0
-            );
-            return 1;
-        }
-        return 0;
-    }
-    for name in ["compute", "transport"] {
-        let code = run_alias(dag, exec, name, json);
-        if code != 0 {
-            return code;
-        }
-        promote_baseline(name);
-    }
-    append_bench_history();
-    0
-}
-
-/// Append this run's headline numbers to the tracked
-/// `BENCH_history.json` log so perf trends survive baseline rewrites.
-fn append_bench_history() {
-    let read = |task: &str| {
-        std::fs::read_to_string(
-            std::path::Path::new(ARTIFACT_ROOT)
-                .join(task)
-                .join(format!("BENCH_{task}.json")),
-        )
-    };
-    let (compute, transport) = match (read("compute"), read("transport")) {
-        (Ok(c), Ok(t)) => (c, t),
-        (c, t) => {
-            eprintln!(
-                "skipping BENCH_history.json: could not read fresh artifacts ({:?} / {:?})",
-                c.err(),
-                t.err()
-            );
-            return;
-        }
-    };
-    match janus_bench::experiments::bench_history::append(
-        "BENCH_history.json",
-        &compute,
-        &transport,
-    ) {
-        Ok(entries) => println!("appended to BENCH_history.json ({entries} entries)"),
-        Err(e) => eprintln!("could not append BENCH_history.json: {e}"),
-    }
-}
-
-/// Copy a perf task's artifact to the repo-root `BENCH_*.json` baseline
-/// location — the tracked files the CI gate compares against.
-fn promote_baseline(task: &str) {
-    let file = format!("BENCH_{task}.json");
-    let src = std::path::Path::new(ARTIFACT_ROOT).join(task).join(&file);
-    match std::fs::copy(&src, &file) {
-        Ok(_) => println!("wrote {file}"),
-        Err(e) => eprintln!("could not refresh {file} from {}: {e}", src.display()),
-    }
 }
 
 /// Echo every JSON artifact of `task` as a compact `JSON[stem]: ...`

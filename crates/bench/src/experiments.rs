@@ -1122,734 +1122,6 @@ pub mod ablations {
     }
 }
 
-/// Compute-substrate benchmark: the blocked/parallel kernels against the
-/// scalar reference at expert-FFN shapes, plus end-to-end numerical
-/// training throughput under both paradigms.
-pub mod compute {
-    use super::*;
-    use janus_core::exec::model::ExecConfig;
-    use janus_core::exec::trainer::Trainer;
-    use janus_core::paradigm::ParadigmPolicy;
-    use janus_core::plan::PlanOpts;
-    use janus_tensor::{matmul_reference, pool, simd, Matrix};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    /// One kernel measurement: the expert up-projection `x(T×H) · w1(H×4H)`.
-    #[derive(Debug, Clone, Serialize)]
-    pub struct KernelRow {
-        /// Hidden dimension H (the weight is H×4H).
-        pub hidden: usize,
-        /// Tokens per pass T.
-        pub tokens: usize,
-        /// Scalar reference (seed kernel) wall time.
-        pub scalar_ms: f64,
-        /// Blocked kernel (SIMD forced off), pool pinned to one thread.
-        pub blocked_ms: f64,
-        /// AVX2 kernel (SIMD forced on), pool pinned to one thread. On a
-        /// CPU without AVX2 the forced path degrades to blocked, so this
-        /// equals `blocked_ms` there.
-        pub simd_ms: f64,
-        /// Auto-dispatched kernel, pool at its configured width.
-        pub parallel_ms: f64,
-        /// scalar / blocked.
-        pub blocked_speedup: f64,
-        /// scalar / simd.
-        pub simd_speedup: f64,
-        /// blocked / simd — the within-run gain of the AVX2 kernels over
-        /// the portable blocked ones, the ratio the perf gate tracks
-        /// (machine-speed independent, unlike the absolute columns).
-        pub simd_vs_blocked: f64,
-        /// scalar / parallel.
-        pub parallel_speedup: f64,
-    }
-
-    /// Wall-clock throughput of one training paradigm.
-    #[derive(Debug, Clone, Serialize)]
-    pub struct TrainingRow {
-        /// "data-centric" or "expert-centric".
-        pub paradigm: String,
-        /// Iterations timed.
-        pub iters: u64,
-        /// Mean wall time per iteration.
-        pub ms_per_iter: f64,
-        /// Tokens processed per second across the whole world.
-        pub tokens_per_sec: f64,
-    }
-
-    /// Everything `BENCH_compute.json` holds.
-    #[derive(Debug, Clone, Serialize)]
-    pub struct Report {
-        /// Pool width used for the parallel columns.
-        pub threads: usize,
-        /// Whether the CPU reports AVX2 (the `simd_*` columns measure
-        /// the real SIMD path only when true).
-        pub simd_detected: bool,
-        /// Kernel rows, one per hidden size.
-        pub kernels: Vec<KernelRow>,
-        /// Training rows, one per paradigm.
-        pub training: Vec<TrainingRow>,
-    }
-
-    /// Best-of-3 timing passes of `reps` iterations each. The minimum is
-    /// the noise-robust estimator on a shared box: descheduling only ever
-    /// inflates a pass, so the quietest pass is the closest to the true
-    /// kernel cost — and the gated ratios below divide one minimum by
-    /// another, keeping them stable run-to-run.
-    fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-        f(); // warm-up
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                f();
-            }
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3 / reps as f64);
-        }
-        best
-    }
-
-    /// Measure kernels at H ∈ {512, 1024} and both training paradigms.
-    pub fn run() -> Report {
-        let tokens = 64usize;
-        let mut kernels = Vec::new();
-        for hidden in [512usize, 1024] {
-            let mut rng = StdRng::seed_from_u64(11);
-            let x = Matrix::uniform(tokens, hidden, 1.0, &mut rng);
-            let w1 = Matrix::uniform(hidden, 4 * hidden, 0.1, &mut rng);
-            let reps = if hidden >= 1024 { 3 } else { 8 };
-            // The SIMD kernels finish in single-digit milliseconds, so
-            // they get 4× the repetitions: a timed pass below ~50 ms is
-            // dominated by scheduler and DVFS noise, and the gated
-            // simd-vs-blocked ratio inherits that jitter.
-            let fast_reps = reps * 4;
-            let scalar_ms = time_ms(1, || {
-                black_box(matmul_reference(black_box(&x), black_box(&w1)));
-            });
-            pool::set_threads(1);
-            simd::set_forced(Some(false));
-            let blocked_ms = time_ms(reps, || {
-                black_box(black_box(&x).matmul(black_box(&w1)));
-            });
-            simd::set_forced(Some(true));
-            let simd_ms = time_ms(fast_reps, || {
-                black_box(black_box(&x).matmul(black_box(&w1)));
-            });
-            simd::set_forced(None);
-            pool::set_threads(0);
-            let parallel_ms = time_ms(fast_reps, || {
-                black_box(black_box(&x).matmul(black_box(&w1)));
-            });
-            kernels.push(KernelRow {
-                hidden,
-                tokens,
-                scalar_ms,
-                blocked_ms,
-                simd_ms,
-                parallel_ms,
-                blocked_speedup: scalar_ms / blocked_ms,
-                simd_speedup: scalar_ms / simd_ms,
-                simd_vs_blocked: blocked_ms / simd_ms,
-                parallel_speedup: scalar_ms / parallel_ms,
-            });
-        }
-
-        let cfg = ExecConfig {
-            hidden_dim: 32,
-            tokens: 64,
-            ..ExecConfig::small()
-        };
-        let iters = 5u64;
-        let world_tokens = (cfg.world() * cfg.tokens) as f64 * iters as f64;
-        let mut training = Vec::new();
-        for (paradigm, policy) in [
-            ("data-centric", ParadigmPolicy::DataCentric),
-            ("expert-centric", ParadigmPolicy::ExpertCentric),
-        ] {
-            let trainer = Trainer::new(
-                &cfg,
-                &PlanOpts {
-                    policy,
-                    ..PlanOpts::default()
-                },
-            );
-            black_box(trainer.run(1)); // warm-up
-            let t0 = Instant::now();
-            black_box(trainer.run(iters));
-            let secs = t0.elapsed().as_secs_f64();
-            training.push(TrainingRow {
-                paradigm: paradigm.to_string(),
-                iters,
-                ms_per_iter: secs * 1e3 / iters as f64,
-                tokens_per_sec: world_tokens / secs,
-            });
-        }
-        Report {
-            threads: pool::threads(),
-            simd_detected: simd::detected(),
-            kernels,
-            training,
-        }
-    }
-
-    /// Print both tables.
-    pub fn print(report: &Report) {
-        println!(
-            "Compute substrate — blocked/simd/parallel kernels vs scalar reference \
-             ({} pool thread(s), simd {})\n",
-            report.threads,
-            if report.simd_detected {
-                "avx2"
-            } else {
-                "unavailable"
-            }
-        );
-        let body: Vec<Vec<String>> = report
-            .kernels
-            .iter()
-            .map(|r| {
-                vec![
-                    r.hidden.to_string(),
-                    r.tokens.to_string(),
-                    format!("{:.1}", r.scalar_ms),
-                    format!("{:.1}", r.blocked_ms),
-                    format!("{:.1}", r.simd_ms),
-                    format!("{:.1}", r.parallel_ms),
-                    format!("{:.1}×", r.blocked_speedup),
-                    format!("{:.1}×", r.simd_speedup),
-                    format!("{:.1}×", r.simd_vs_blocked),
-                    format!("{:.1}×", r.parallel_speedup),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            table::render(
-                &[
-                    "H",
-                    "tokens",
-                    "scalar ms",
-                    "blocked ms",
-                    "simd ms",
-                    "parallel ms",
-                    "blocked ×",
-                    "simd ×",
-                    "simd/blocked ×",
-                    "parallel ×"
-                ],
-                &body
-            )
-        );
-        let body: Vec<Vec<String>> = report
-            .training
-            .iter()
-            .map(|r| {
-                vec![
-                    r.paradigm.clone(),
-                    r.iters.to_string(),
-                    format!("{:.1}", r.ms_per_iter),
-                    format!("{:.0}", r.tokens_per_sec),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            table::render(&["paradigm", "iters", "ms/iter", "tokens/sec"], &body)
-        );
-    }
-
-    /// Write the report as `BENCH_compute.json`; returns the path.
-    pub fn write_json(report: &Report, path: &str) -> std::io::Result<String> {
-        let json = serde_json::to_string_pretty(report).expect("report serializes");
-        std::fs::write(path, json)?;
-        Ok(path.to_string())
-    }
-}
-
-/// Transport micro-benchmarks behind `BENCH_transport.json`: message
-/// rate, bulk bandwidth, and p99 frame latency on the in-process, TCP,
-/// and reliable-over-TCP transports, plus a within-run comparison of
-/// the vectored zero-copy send path against the legacy
-/// encode-then-write-twice path (the ratio the perf gate tracks).
-pub mod transport {
-    use super::*;
-    use bytes::Bytes;
-    use janus_comm::codec::{
-        read_message, read_message_buffered, write_frame, write_message, DEFAULT_MAX_FRAME,
-    };
-    use janus_comm::local::local_mesh;
-    use janus_comm::tcp::tcp_mesh_localhost;
-    use janus_comm::{Message, ReliableTransport, Transport};
-    use std::time::Instant;
-
-    /// One (transport, payload size) measurement.
-    #[derive(Debug, Clone, Serialize)]
-    pub struct LaneRow {
-        /// "local", "tcp", or "reliable+tcp".
-        pub transport: String,
-        /// Bulk payload bytes per message (0 = header-only control
-        /// message, the pull-request regime).
-        pub payload_bytes: usize,
-        /// Messages pushed through the timed window.
-        pub msgs: usize,
-        /// Sustained messages per second (sender and receiver threads
-        /// pipelined).
-        pub msgs_per_sec: f64,
-        /// Sustained payload gigabytes per second.
-        pub gbytes_per_sec: f64,
-        /// 99th-percentile one-way frame latency, microseconds
-        /// (send → delivered, measured unpipelined).
-        pub p99_us: f64,
-    }
-
-    /// Within-run legacy-vs-fast frame-loop comparison on a raw TCP
-    /// loopback pair, small control messages. Both sides run in the
-    /// same process on the same socket, so the ratio is robust to
-    /// machine speed — this is what the CI perf gate checks.
-    #[derive(Debug, Clone, Serialize)]
-    pub struct FastPathRow {
-        /// Messages per timed window.
-        pub msgs: usize,
-        /// Legacy loop: `Message::encode` into a fresh buffer plus two
-        /// stream writes (length prefix + body) per frame on the send
-        /// side; unbuffered two-syscall reads with a fresh payload
-        /// allocation per frame on the receive side.
-        pub legacy_msgs_per_sec: f64,
-        /// Fast loop: stack header + vectored single write per frame;
-        /// buffered reads decoding out of a reused scratch buffer.
-        pub fast_msgs_per_sec: f64,
-        /// fast / legacy.
-        pub speedup: f64,
-    }
-
-    /// Everything `BENCH_transport.json` holds.
-    #[derive(Debug, Clone, Serialize)]
-    pub struct Report {
-        /// Per-transport, per-size lanes.
-        pub lanes: Vec<LaneRow>,
-        /// The send-path comparison.
-        pub fastpath: FastPathRow,
-    }
-
-    /// Payload sizes each transport is swept over.
-    const SIZES: [usize; 3] = [0, 64 * 1024, 1024 * 1024];
-
-    fn msg_for(payload: usize, seq: u64) -> Message {
-        if payload == 0 {
-            Message::PullRequest {
-                block: 0,
-                expert: (seq % 64) as u32,
-                nonce: seq as u32,
-            }
-        } else {
-            Message::Collective {
-                seq,
-                data: Bytes::from(vec![(seq % 251) as u8; payload]),
-            }
-        }
-    }
-
-    /// Messages per window, scaled down as payloads grow.
-    fn window(payload: usize) -> usize {
-        match payload {
-            0 => 20_000,
-            p if p <= 64 * 1024 => 600,
-            _ => 48,
-        }
-    }
-
-    // `ReliableTransport` is Send but not Sync (its retransmit state
-    // lives in a `RefCell`), so the receiver endpoint is moved into the
-    // recv thread for the throughput window and handed back afterwards.
-    fn measure_pair<T: Transport + Send>(name: &str, a: &T, mut b: T, rows: &mut Vec<LaneRow>) {
-        let to = b.rank();
-        for payload in SIZES {
-            let msgs = window(payload);
-            // Throughput: sender and receiver pipelined across threads.
-            let payload_msg = msg_for(payload, 1);
-            let t0 = Instant::now();
-            b = std::thread::scope(|s| {
-                let rx = s.spawn(move || {
-                    for _ in 0..msgs {
-                        b.recv().expect("bench recv");
-                    }
-                    b
-                });
-                for _ in 0..msgs {
-                    a.send(to, payload_msg.clone()).expect("bench send");
-                    // Keep the sender's inbox drained so reliability
-                    // acks (when present) retire in-flight state.
-                    let _ = a.try_recv();
-                }
-                rx.join().expect("bench recv thread")
-            });
-            let secs = t0.elapsed().as_secs_f64();
-            // Latency: unpipelined send → recv, per-frame samples.
-            let lat_samples = 200.min(msgs);
-            let mut samples = Vec::with_capacity(lat_samples);
-            for i in 0..lat_samples {
-                let m = msg_for(payload, i as u64);
-                let t = Instant::now();
-                a.send(to, m).expect("bench send");
-                b.recv().expect("bench recv");
-                samples.push(t.elapsed().as_secs_f64() * 1e6);
-                let _ = a.try_recv();
-            }
-            samples.sort_by(f64::total_cmp);
-            let p99 = samples[(samples.len() * 99) / 100];
-            rows.push(LaneRow {
-                transport: name.to_string(),
-                payload_bytes: payload,
-                msgs,
-                msgs_per_sec: msgs as f64 / secs,
-                gbytes_per_sec: (msgs * payload) as f64 / secs / 1e9,
-                p99_us: p99,
-            });
-        }
-    }
-
-    /// Legacy framing: what `write_message` did before the vectored
-    /// fast path — encode into a fresh buffer, then write the length
-    /// prefix and the body separately. Kept here so the comparison
-    /// keeps measuring the old cost model even though the codec no
-    /// longer ships it.
-    fn write_message_legacy<W: std::io::Write>(
-        w: &mut W,
-        msg: &Message,
-    ) -> Result<(), janus_comm::CommError> {
-        write_frame(w, &msg.encode())
-    }
-
-    fn measure_fastpath() -> FastPathRow {
-        use std::net::{TcpListener, TcpStream};
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let mut tx = TcpStream::connect(addr).expect("connect");
-        tx.set_nodelay(true).expect("nodelay");
-        let (mut rx, _) = listener.accept().expect("accept");
-        rx.set_nodelay(true).expect("nodelay");
-
-        let msgs = 30_000usize;
-        let mut run = |legacy: bool| -> f64 {
-            let tx = &mut tx;
-            let rx = &mut rx;
-            let t0 = Instant::now();
-            std::thread::scope(|s| {
-                s.spawn(move || {
-                    if legacy {
-                        // Pre-fast-path receive loop: unbuffered stream,
-                        // two read syscalls and a fresh payload
-                        // allocation per frame.
-                        for _ in 0..msgs {
-                            read_message(rx, DEFAULT_MAX_FRAME)
-                                .expect("bench read")
-                                .expect("frame");
-                        }
-                    } else {
-                        let mut rx = std::io::BufReader::with_capacity(64 * 1024, rx);
-                        let mut scratch = Vec::new();
-                        for _ in 0..msgs {
-                            read_message_buffered(&mut rx, DEFAULT_MAX_FRAME, &mut scratch)
-                                .expect("bench read")
-                                .expect("frame");
-                        }
-                        // The BufReader is drained: every byte it slurped
-                        // belonged to this window's frames, so dropping it
-                        // loses nothing.
-                    }
-                });
-                for i in 0..msgs {
-                    let m = msg_for(0, i as u64);
-                    if legacy {
-                        write_message_legacy(tx, &m).expect("bench write");
-                    } else {
-                        write_message(tx, &m).expect("bench write");
-                    }
-                }
-            });
-            msgs as f64 / t0.elapsed().as_secs_f64()
-        };
-        // Warm both paths once (socket buffers, allocator), then take the
-        // best of three timed windows each, interleaved so machine-load
-        // drift hits both paths alike.
-        run(true);
-        run(false);
-        let mut legacy = 0.0f64;
-        let mut fast = 0.0f64;
-        for _ in 0..3 {
-            legacy = legacy.max(run(true));
-            fast = fast.max(run(false));
-        }
-        FastPathRow {
-            msgs,
-            legacy_msgs_per_sec: legacy,
-            fast_msgs_per_sec: fast,
-            speedup: fast / legacy,
-        }
-    }
-
-    /// Run every lane and the fast-path comparison.
-    pub fn run() -> Report {
-        let mut lanes = Vec::new();
-
-        let mut mesh = local_mesh(2);
-        let b = mesh.pop().expect("local pair");
-        let a = mesh.pop().expect("local pair");
-        measure_pair("local", &a, b, &mut lanes);
-
-        let mut mesh = tcp_mesh_localhost(2).expect("tcp mesh");
-        let b = mesh.pop().expect("tcp pair");
-        let a = mesh.pop().expect("tcp pair");
-        measure_pair("tcp", &a, b, &mut lanes);
-
-        let mut mesh = tcp_mesh_localhost(2).expect("tcp mesh");
-        let b = ReliableTransport::new(mesh.pop().expect("tcp pair"));
-        let a = ReliableTransport::new(mesh.pop().expect("tcp pair"));
-        measure_pair("reliable+tcp", &a, b, &mut lanes);
-
-        Report {
-            lanes,
-            fastpath: measure_fastpath(),
-        }
-    }
-
-    /// Print the lanes and the fast-path comparison.
-    pub fn print(report: &Report) {
-        println!("Transport fast path — msgs/s, bandwidth, p99 frame latency\n");
-        let body: Vec<Vec<String>> = report
-            .lanes
-            .iter()
-            .map(|r| {
-                vec![
-                    r.transport.clone(),
-                    if r.payload_bytes == 0 {
-                        "control".to_string()
-                    } else {
-                        format!("{} KiB", r.payload_bytes / 1024)
-                    },
-                    format!("{:.0}", r.msgs_per_sec),
-                    format!("{:.2}", r.gbytes_per_sec),
-                    format!("{:.0}", r.p99_us),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            table::render(&["transport", "payload", "msgs/s", "GB/s", "p99 µs"], &body)
-        );
-        let f = &report.fastpath;
-        println!(
-            "TCP small-message frame loop: legacy {:.0} msgs/s → fast path {:.0} msgs/s ({:.2}×)\n",
-            f.legacy_msgs_per_sec, f.fast_msgs_per_sec, f.speedup
-        );
-    }
-
-    /// Write the report as `BENCH_transport.json`; returns the path.
-    pub fn write_json(report: &Report, path: &str) -> std::io::Result<String> {
-        let json = serde_json::to_string_pretty(report).expect("report serializes");
-        std::fs::write(path, json)?;
-        Ok(path.to_string())
-    }
-}
-
-/// The perf regression gate behind `repro bench --check`: compares a
-/// fresh [`compute`] + [`transport`] run against the committed
-/// `BENCH_*.json` baselines and fails on a >10% drop in any gated
-/// metric.
-///
-/// Only **within-run ratios** are gated (blocked-vs-scalar speedup,
-/// simd-vs-blocked speedup, fast-vs-legacy send-path speedup): they
-/// compare two measurements taken seconds apart on the same machine, so
-/// they survive CI-runner speed differences that make absolute ms or
-/// msgs/s columns meaningless across machines. The absolute columns
-/// stay in the JSON for trend reading, unchecked.
-pub mod benchgate {
-    use super::*;
-
-    /// Fraction of the baseline a gated metric may lose before the gate
-    /// fails (10%).
-    pub const TOLERANCE: f64 = 0.10;
-
-    /// One gated metric comparison.
-    #[derive(Debug, Clone, Serialize)]
-    pub struct Gate {
-        /// Metric name, e.g. `compute.h1024.simd_vs_blocked`.
-        pub metric: String,
-        /// Committed baseline value.
-        pub baseline: f64,
-        /// Freshly measured value.
-        pub current: f64,
-        /// Whether `current >= baseline * (1 - TOLERANCE)`.
-        pub ok: bool,
-    }
-
-    fn gate(metric: String, baseline: f64, current: f64) -> Gate {
-        Gate {
-            ok: current >= baseline * (1.0 - TOLERANCE),
-            metric,
-            baseline,
-            current,
-        }
-    }
-
-    fn field(v: &serde_json::Value, path: &[&str]) -> Option<f64> {
-        let mut cur = v;
-        for p in path {
-            cur = &cur[*p];
-        }
-        cur.as_f64()
-    }
-
-    /// Compare a fresh compute report against baseline JSON text.
-    pub fn check_compute(baseline_json: &str, report: &compute::Report) -> Vec<Gate> {
-        let fresh = serde_json::to_string(report).expect("report serializes");
-        check_compute_json(baseline_json, &fresh)
-    }
-
-    /// Compare two compute reports, both as JSON text — the form the lab
-    /// uses, gating the `compute` task's artifact without re-measuring.
-    pub fn check_compute_json(baseline_json: &str, fresh_json: &str) -> Vec<Gate> {
-        let (Ok(base), Ok(fresh)) = (
-            serde_json::from_str::<serde_json::Value>(baseline_json),
-            serde_json::from_str::<serde_json::Value>(fresh_json),
-        ) else {
-            return Vec::new();
-        };
-        let mut gates = Vec::new();
-        let empty = Vec::new();
-        for row in fresh["kernels"].as_array().unwrap_or(&empty) {
-            let Some(hidden) = row["hidden"].as_u64() else {
-                continue;
-            };
-            let Some(brow) = base["kernels"]
-                .as_array()
-                .and_then(|rows| rows.iter().find(|r| r["hidden"].as_u64() == Some(hidden)))
-            else {
-                continue;
-            };
-            for name in ["blocked_speedup", "simd_vs_blocked"] {
-                if let (Some(b), Some(c)) = (brow[name].as_f64(), row[name].as_f64()) {
-                    gates.push(gate(format!("compute.h{hidden}.{name}"), b, c));
-                }
-            }
-        }
-        gates
-    }
-
-    /// Compare a fresh transport report against baseline JSON text.
-    pub fn check_transport(baseline_json: &str, report: &transport::Report) -> Vec<Gate> {
-        let fresh = serde_json::to_string(report).expect("report serializes");
-        check_transport_json(baseline_json, &fresh)
-    }
-
-    /// Compare two transport reports, both as JSON text.
-    pub fn check_transport_json(baseline_json: &str, fresh_json: &str) -> Vec<Gate> {
-        let (Ok(base), Ok(fresh)) = (
-            serde_json::from_str::<serde_json::Value>(baseline_json),
-            serde_json::from_str::<serde_json::Value>(fresh_json),
-        ) else {
-            return Vec::new();
-        };
-        let mut gates = Vec::new();
-        if let (Some(b), Some(c)) = (
-            field(&base, &["fastpath", "speedup"]),
-            field(&fresh, &["fastpath", "speedup"]),
-        ) {
-            gates.push(gate("transport.fastpath.speedup".to_string(), b, c));
-        }
-        gates
-    }
-
-    /// Gate fresh compute/transport report JSON against the committed
-    /// root baselines (`BENCH_compute.json` / `BENCH_transport.json`).
-    /// A missing baseline skips its gates with a note — first runs on a
-    /// new tree must not fail.
-    pub fn gates_against_baselines(fresh_compute: &str, fresh_transport: &str) -> Vec<Gate> {
-        let mut gates = Vec::new();
-        match std::fs::read_to_string("BENCH_compute.json") {
-            Ok(base) => gates.extend(check_compute_json(&base, fresh_compute)),
-            Err(e) => eprintln!("no compute baseline ({e}); skipping its gates"),
-        }
-        match std::fs::read_to_string("BENCH_transport.json") {
-            Ok(base) => gates.extend(check_transport_json(&base, fresh_transport)),
-            Err(e) => eprintln!("no transport baseline ({e}); skipping its gates"),
-        }
-        gates
-    }
-
-    /// Retry half of the `--check` flow: if any gate in `gates` failed,
-    /// re-measure both suites once and keep each metric's best attempt,
-    /// so a single noisy timing window on a shared box cannot fail CI.
-    pub fn retry_if_failed(gates: Vec<Gate>) -> Vec<Gate> {
-        if gates.iter().all(|g| g.ok) {
-            return gates;
-        }
-        eprintln!("a gate regressed; re-measuring once to rule out machine noise");
-        let creport = compute::run();
-        let treport = transport::run();
-        let fresh_c = serde_json::to_string(&creport).expect("report serializes");
-        let fresh_t = serde_json::to_string(&treport).expect("report serializes");
-        merge_best(gates, gates_against_baselines(&fresh_c, &fresh_t))
-    }
-
-    /// The whole `repro bench --check` measurement flow: run both perf
-    /// suites, print their tables, gate the within-run ratios against
-    /// the committed baselines, and retry once on failure. The caller
-    /// renders the gates ([`print`]) and decides the exit code.
-    pub fn run_check() -> (compute::Report, transport::Report, Vec<Gate>) {
-        let creport = compute::run();
-        compute::print(&creport);
-        let treport = transport::run();
-        transport::print(&treport);
-        let fresh_c = serde_json::to_string(&creport).expect("report serializes");
-        let fresh_t = serde_json::to_string(&treport).expect("report serializes");
-        let gates = retry_if_failed(gates_against_baselines(&fresh_c, &fresh_t));
-        (creport, treport, gates)
-    }
-
-    /// Merge two gate runs of the same metrics, keeping each metric's
-    /// best measurement. Used by the `--check` retry: a gate only fails
-    /// if it regressed in **both** attempts, so a single descheduled
-    /// timing window on a busy box cannot fail CI by itself.
-    pub fn merge_best(first: Vec<Gate>, second: Vec<Gate>) -> Vec<Gate> {
-        let mut merged = first;
-        for g in second {
-            match merged.iter_mut().find(|m| m.metric == g.metric) {
-                Some(m) if g.current > m.current => *m = g,
-                Some(_) => {}
-                None => merged.push(g),
-            }
-        }
-        merged
-    }
-
-    /// Render the gate table and return whether every gate passed.
-    pub fn print(gates: &[Gate]) -> bool {
-        let body: Vec<Vec<String>> = gates
-            .iter()
-            .map(|g| {
-                vec![
-                    g.metric.clone(),
-                    format!("{:.2}", g.baseline),
-                    format!("{:.2}", g.current),
-                    if g.ok {
-                        "ok".into()
-                    } else {
-                        "REGRESSED".into()
-                    },
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            table::render(&["metric", "baseline", "current", "status"], &body)
-        );
-        gates.iter().all(|g| g.ok)
-    }
-}
-
 /// Chrome-trace export of the Figure 13 timeline.
 pub mod trace_export {
     use super::*;
@@ -3558,129 +2830,5 @@ pub mod analyze {
                 ""
             }
         );
-    }
-}
-
-/// `repro bench` trajectory bookkeeping: every measuring run appends its
-/// headline gate metrics to the tracked `BENCH_history.json`, so perf
-/// history is a committed artifact rather than a sequence of overwrites.
-pub mod bench_history {
-    use super::*;
-
-    /// Flatten the two fresh suite reports to `metric → value` using the
-    /// same extraction paths the perf gate checks, then append one entry
-    /// to the JSON array at `path` (created if absent). Returns the new
-    /// entry count.
-    pub fn append(path: &str, compute_json: &str, transport_json: &str) -> Result<usize, String> {
-        // Self-comparison yields (metric, current) pairs with zero drift.
-        let metrics: Vec<(String, f64)> = benchgate::check_compute_json(compute_json, compute_json)
-            .into_iter()
-            .chain(benchgate::check_transport_json(
-                transport_json,
-                transport_json,
-            ))
-            .map(|g| (g.metric, g.current))
-            .collect();
-        if metrics.is_empty() {
-            return Err("no headline metrics found in fresh bench reports".to_string());
-        }
-        use serde_json::Value;
-        let mut history: Vec<Value> = match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let parsed: Value = serde_json::from_str(&text)
-                    .map_err(|e| format!("{path} is not valid JSON: {e}"))?;
-                match parsed {
-                    Value::Arr(items) => items,
-                    _ => return Err(format!("{path} is not a JSON array")),
-                }
-            }
-            Err(_) => Vec::new(),
-        };
-        let unix_ts = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let entry = Value::Obj(vec![
-            ("seq".to_string(), Value::Num(history.len() as f64)),
-            ("unix_ts".to_string(), Value::Num(unix_ts as f64)),
-            (
-                "metrics".to_string(),
-                Value::Obj(
-                    metrics
-                        .into_iter()
-                        .map(|(k, v)| (k, Value::Num(v)))
-                        .collect(),
-                ),
-            ),
-        ]);
-        history.push(entry);
-        let mut text = serde_json::to_string_pretty(&Value::Arr(history.clone()))
-            .map_err(|e| e.to_string())?;
-        text.push('\n');
-        std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
-        Ok(history.len())
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn append_grows_the_history_with_gate_metrics() {
-            let compute = std::fs::read_to_string(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_compute.json"
-            ))
-            .expect("committed compute baseline");
-            let transport = std::fs::read_to_string(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_transport.json"
-            ))
-            .expect("committed transport baseline");
-            let path = std::env::temp_dir()
-                .join(format!("janus_bench_history_{}.json", std::process::id()));
-            let path = path.to_str().unwrap().to_string();
-            let _ = std::fs::remove_file(&path);
-            assert_eq!(append(&path, &compute, &transport), Ok(1));
-            assert_eq!(append(&path, &compute, &transport), Ok(2));
-            let text = std::fs::read_to_string(&path).unwrap();
-            let v: serde_json::Value = serde_json::from_str(&text).unwrap();
-            let entries = v.as_array().expect("history is an array");
-            assert_eq!(entries.len(), 2);
-            assert_eq!(entries[0]["seq"], 0u64);
-            assert_eq!(entries[1]["seq"], 1u64);
-            let metrics = entries[1]["metrics"]
-                .as_object()
-                .expect("entry has metrics");
-            assert!(!metrics.is_empty(), "gate metrics extracted");
-            assert!(metrics.iter().all(|(_, v)| v.as_f64().is_some()));
-            let _ = std::fs::remove_file(&path);
-        }
-
-        #[test]
-        fn append_rejects_a_non_array_history() {
-            let compute = std::fs::read_to_string(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_compute.json"
-            ))
-            .expect("committed compute baseline");
-            let transport = std::fs::read_to_string(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_transport.json"
-            ))
-            .expect("committed transport baseline");
-            let path = std::env::temp_dir().join(format!(
-                "janus_bench_history_bad_{}.json",
-                std::process::id()
-            ));
-            let path = path.to_str().unwrap().to_string();
-            std::fs::write(&path, "{}\n").unwrap();
-            let err = append(&path, &compute, &transport).unwrap_err();
-            assert!(err.contains("array"), "{err}");
-            // Reports with no extractable headline metrics also refuse.
-            let err = append(&path, "{}", "{}").unwrap_err();
-            assert!(err.contains("metrics"), "{err}");
-            let _ = std::fs::remove_file(&path);
-        }
     }
 }

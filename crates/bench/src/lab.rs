@@ -12,11 +12,11 @@
 //!   JSON fields (retransmit counters, recovery latencies) so the
 //!   determinism claims — zero loss/weight divergence, plan digests,
 //!   checkpoint ledgers — still verify bitwise.
-//! - Timing tasks (`compute`, `transport`, `benchgate`) and the span
-//!   recorder task (`trace`) run [`exclusive`](TaskSpec::exclusive):
-//!   they mutate process globals (pool width, forced SIMD, the global
-//!   recorder) or need a quiet machine. Their wall-clock artifacts are
-//!   volatile; `trace`'s simulator-derived timelines still verify.
+//! - Tasks that mutate the global span recorder (`serve`, `analyze`,
+//!   `crash`, `trace`) or time a real localhost mesh (`migrate`) run
+//!   [`exclusive`](TaskSpec::exclusive). Their wall-clock fields are
+//!   masked or their files volatile; `trace`'s simulator-derived
+//!   timelines still verify.
 
 use crate::experiments::*;
 use janus_lab::{Dag, OutFile, TaskReport, TaskSpec};
@@ -300,163 +300,52 @@ pub fn registry() -> Dag {
         .exclusive(),
     );
 
-    // Perf suites: wall-clock measurements, exclusive for quiet timing.
-    // Artifacts land under artifacts/; the repo-root BENCH_*.json
-    // baselines are only rewritten by the legacy `repro bench` verbs.
-    tasks.push(
-        TaskSpec::new("compute", |_ctx| {
-            let report = compute::run();
-            {
-                let _g = janus_lab::stdout_lock();
-                compute::print(&report);
-            }
-            Ok(TaskReport {
-                files: vec![OutFile::volatile("BENCH_compute.json", json_bytes(&report))],
-                config: obj(&[("experiment", sval("compute"))]),
-                plan_digests: Vec::new(),
-            })
-        })
-        .exclusive(),
-    );
-    tasks.push(
-        TaskSpec::new("transport", |_ctx| {
-            let report = transport::run();
-            {
-                let _g = janus_lab::stdout_lock();
-                transport::print(&report);
-            }
-            Ok(TaskReport {
-                files: vec![OutFile::volatile(
-                    "BENCH_transport.json",
-                    json_bytes(&report),
-                )],
-                config: obj(&[("experiment", sval("transport"))]),
-                plan_digests: Vec::new(),
-            })
-        })
-        .exclusive()
-        .non_default(),
-    );
-
-    // The CI perf gate: consumes the compute/transport artifacts as the
-    // fresh measurements and compares their within-run ratios against
-    // the committed baselines. On failure it re-measures once and keeps
-    // each metric's best attempt before giving up.
-    tasks.push(
-        TaskSpec::new("benchgate", |ctx| {
-            let fresh_c = std::fs::read_to_string(
-                ctx.dir
-                    .parent()
-                    .expect("task dir has parent")
-                    .join("compute/BENCH_compute.json"),
-            )
-            .map_err(|e| format!("compute artifact missing: {e}"))?;
-            let fresh_t = std::fs::read_to_string(
-                ctx.dir
-                    .parent()
-                    .expect("task dir has parent")
-                    .join("transport/BENCH_transport.json"),
-            )
-            .map_err(|e| format!("transport artifact missing: {e}"))?;
-            let gates =
-                benchgate::retry_if_failed(benchgate::gates_against_baselines(&fresh_c, &fresh_t));
-            let passed = {
-                let _g = janus_lab::stdout_lock();
-                benchgate::print(&gates)
-            };
-            let report = TaskReport {
-                files: vec![OutFile::volatile("gates.json", json_bytes(&gates))],
-                config: obj(&[
-                    ("experiment", sval("benchgate")),
-                    ("tolerance", nval(benchgate::TOLERANCE)),
-                ]),
-                plan_digests: Vec::new(),
-            };
-            if passed {
-                Ok(report)
-            } else {
-                Err(format!(
-                    "perf gate failed: a gated ratio regressed more than {:.0}% below its \
-                     committed baseline (UPDATE_BENCH=1 with `repro bench` refreshes baselines \
-                     after an intentional change)",
-                    benchgate::TOLERANCE * 100.0
-                ))
-            }
-        })
-        .dep("compute")
-        .dep("transport")
-        .tag("ci")
-        .exclusive()
-        .non_default(),
-    );
-
     Dag::new(tasks).expect("static registry is a valid DAG")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn registry_is_valid_and_complete() {
         let dag = registry();
         let names: Vec<&str> = dag.tasks().iter().map(|t| t.name.as_str()).collect();
-        for expected in [
-            "plan",
-            "rmetric",
-            "table1",
-            "goodput",
-            "fig3",
-            "fig12",
-            "fig13",
-            "fig14",
-            "fig15",
-            "fig16",
-            "fig17",
-            "ablations",
-            "faults",
-            "migrate",
-            "serve",
-            "analyze",
-            "crash",
-            "trace",
-            "compute",
-            "transport",
-            "benchgate",
-        ] {
-            assert!(names.contains(&expected), "missing task `{expected}`");
-        }
+        assert_eq!(
+            names,
+            [
+                "plan",
+                "rmetric",
+                "table1",
+                "goodput",
+                "fig3",
+                "fig12",
+                "fig13",
+                "fig14",
+                "fig15",
+                "fig16",
+                "fig17",
+                "ablations",
+                "faults",
+                "migrate",
+                "serve",
+                "analyze",
+                "crash",
+                "trace",
+            ]
+        );
     }
 
+    /// CI runs `ci/*`; pinning it exactly keeps a wall-clock node from
+    /// slipping back into the CI graph.
     #[test]
     fn ci_selection_is_dep_closed() {
         let dag = registry();
         let sel = dag.select(&["ci/*".to_string()]).unwrap();
-        let names: Vec<&str> = sel.iter().map(|&i| dag.tasks()[i].name.as_str()).collect();
-        for expected in [
-            "faults",
-            "migrate",
-            "serve",
-            "analyze",
-            "crash",
-            "trace",
-            "benchgate",
-            "compute",
-            "transport",
-        ] {
-            assert!(names.contains(&expected), "ci/* must pull in `{expected}`");
-        }
-        assert!(!names.contains(&"fig3"), "ci/* must not select figures");
-    }
-
-    #[test]
-    fn default_set_excludes_gate_and_transport() {
-        let dag = registry();
-        let sel = dag.default_set();
-        let names: Vec<&str> = sel.iter().map(|&i| dag.tasks()[i].name.as_str()).collect();
-        assert!(names.contains(&"fig12"));
-        assert!(names.contains(&"compute"));
-        assert!(!names.contains(&"benchgate"));
-        assert!(!names.contains(&"transport"));
+        let names: BTreeSet<&str> = sel.iter().map(|&i| dag.tasks()[i].name.as_str()).collect();
+        let expected: BTreeSet<&str> =
+            ["faults", "migrate", "serve", "analyze", "crash", "trace"].into();
+        assert_eq!(names, expected);
     }
 }

@@ -10,9 +10,6 @@
 //! cargo run --release -p janus-bench --bin repro -- all
 //! cargo run --release -p janus-bench --bin repro -- fig12 fig14
 //! ```
-//!
-//! The Criterion benches under `benches/` wrap the same experiment code
-//! at reduced scale, timing the harness itself.
 
 pub mod experiments;
 pub mod lab;

@@ -327,28 +327,172 @@ mod tests {
         assert!(scratch.capacity() <= REUSE_DECODE_MAX);
     }
 
+    /// A `Write` that records each call it sees and accepts at most
+    /// `cap` bytes per call, so a small cap forces short writes.
+    struct CountingWriter {
+        cap: usize,
+        bytes: Vec<u8>,
+        writes: usize,
+        /// The start address of every slice of every `write_vectored`.
+        vectored: Vec<Vec<*const u8>>,
+    }
+
+    impl CountingWriter {
+        fn new(cap: usize) -> Self {
+            CountingWriter {
+                cap,
+                bytes: Vec::new(),
+                writes: 0,
+                vectored: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            let n = buf.len().min(self.cap);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.vectored
+                .push(bufs.iter().map(|b| b.as_ptr()).collect());
+            let mut n = 0;
+            for b in bufs {
+                let take = b.len().min(self.cap - n);
+                self.bytes.extend_from_slice(&b[..take]);
+                n += take;
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One message of every variant, each paired with the address of
+    /// its payload bytes (`None` for a frame that carries no payload).
+    fn every_variant() -> Vec<(Message, Option<*const u8>)> {
+        let payload = |n: usize| {
+            let data = Bytes::from(vec![0xA5u8; n]);
+            let ptr = data.as_ptr();
+            (data, Some(ptr))
+        };
+        let (expert, expert_ptr) = payload(1000);
+        let (grad, grad_ptr) = payload(64);
+        let (dispatch, dispatch_ptr) = payload(5);
+        let (ret, ret_ptr) = payload(1);
+        let (chunk, chunk_ptr) = payload(REUSE_DECODE_MAX + 1);
+        let (inner, inner_ptr) = payload(17);
+        vec![
+            (
+                Message::PullRequest {
+                    block: 1,
+                    expert: 2,
+                    nonce: 3,
+                },
+                None,
+            ),
+            (
+                Message::ExpertPayload {
+                    block: 1,
+                    expert: 2,
+                    nonce: 3,
+                    data: expert,
+                },
+                expert_ptr,
+            ),
+            (
+                Message::GradPush {
+                    block: 1,
+                    expert: 2,
+                    contributions: 4,
+                    data: grad,
+                },
+                grad_ptr,
+            ),
+            (
+                Message::TokenDispatch {
+                    block: 2,
+                    seq: 5,
+                    data: dispatch,
+                },
+                dispatch_ptr,
+            ),
+            (
+                Message::TokenReturn {
+                    block: 2,
+                    seq: 5,
+                    data: ret,
+                },
+                ret_ptr,
+            ),
+            (
+                Message::TokenReturn {
+                    block: 2,
+                    seq: 6,
+                    data: Bytes::new(),
+                },
+                None,
+            ),
+            (Message::Barrier { epoch: 7 }, None),
+            (
+                Message::Collective {
+                    seq: 9,
+                    data: chunk,
+                },
+                chunk_ptr,
+            ),
+            (Message::Shutdown, None),
+            (
+                Message::Reliable {
+                    seq: 1,
+                    data: inner,
+                },
+                inner_ptr,
+            ),
+            (Message::Ack { ack: 3 }, None),
+            (Message::Heartbeat { seq: 8 }, None),
+        ]
+    }
+
+    /// The send fast path, checked by structure rather than by a timing:
+    /// a frame with a payload goes out as exactly one `write_vectored`
+    /// whose second slice is the message's own payload bytes, so no
+    /// intermediate encode buffer exists and no plain `write` is issued.
+    #[test]
+    fn payload_frames_go_out_in_one_vectored_write_of_the_payload_itself() {
+        for (msg, payload) in every_variant() {
+            let mut w = CountingWriter::new(usize::MAX);
+            write_message(&mut w, &msg).unwrap();
+            match payload {
+                Some(ptr) => {
+                    assert_eq!(w.vectored.len(), 1, "one write_vectored for {msg:?}");
+                    assert_eq!(w.writes, 0, "no plain write for {msg:?}");
+                    let slices = &w.vectored[0];
+                    assert_eq!(slices.len(), 2, "prefix+header, then payload: {msg:?}");
+                    assert_eq!(slices[1], ptr, "payload was copied for {msg:?}");
+                }
+                None => assert!(w.vectored.is_empty(), "header-only {msg:?}"),
+            }
+        }
+    }
+
+    /// Every variant, written whole and in 3-byte short writes that
+    /// resume mid-slice, is byte-identical to the buffered encoding.
     #[test]
     fn vectored_write_is_byte_identical_to_buffered_encode() {
-        let msgs = [
-            Message::Shutdown,
-            Message::Ack { ack: 3 },
-            Message::TokenDispatch {
-                block: 2,
-                seq: 5,
-                data: Bytes::from(vec![1, 2, 3, 4]),
-            },
-            Message::TokenReturn {
-                block: 2,
-                seq: 5,
-                data: Bytes::new(),
-            },
-        ];
-        for m in &msgs {
-            let mut fast = Vec::new();
-            write_message(&mut fast, m).unwrap();
+        for (msg, _) in every_variant() {
             let mut reference = Vec::new();
-            write_frame(&mut reference, &m.encode()).unwrap();
-            assert_eq!(fast, reference, "variant {m:?}");
+            write_frame(&mut reference, &msg.encode()).unwrap();
+            for cap in [usize::MAX, 3] {
+                let mut w = CountingWriter::new(cap);
+                write_message(&mut w, &msg).unwrap();
+                assert_eq!(w.bytes, reference, "variant {msg:?}, cap {cap}");
+            }
         }
     }
 

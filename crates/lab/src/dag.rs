@@ -94,12 +94,10 @@ pub struct TaskSpec {
     /// Namespace tags: a task named `faults` with tag `ci` is selected
     /// by the glob `ci/*` as `ci/faults`.
     pub tags: Vec<String>,
-    /// Resource hint: run alone (no concurrent tasks), for bench nodes
-    /// whose timings must stay clean and for tasks that mutate process
+    /// Resource hint: run alone (no concurrent tasks), for tasks whose
+    /// timings must stay clean and for tasks that mutate process
     /// globals (forced SIMD, pool width, the global recorder).
     pub exclusive: bool,
-    /// Whether the task is part of the default `repro lab` graph.
-    pub default_set: bool,
     /// JSON keys nulled out before hashing this task's `.json` artifacts
     /// — the timing-only fields excluded from bitwise verification.
     pub masked_keys: Vec<String>,
@@ -108,7 +106,7 @@ pub struct TaskSpec {
 }
 
 impl TaskSpec {
-    /// A default-set, non-exclusive task with no dependencies.
+    /// A non-exclusive task with no dependencies.
     pub fn new(
         name: impl Into<String>,
         run: impl Fn(&TaskCtx) -> Result<TaskReport, String> + Send + Sync + 'static,
@@ -118,7 +116,6 @@ impl TaskSpec {
             deps: Vec::new(),
             tags: Vec::new(),
             exclusive: false,
-            default_set: true,
             masked_keys: Vec::new(),
             run: Box::new(run),
         }
@@ -139,12 +136,6 @@ impl TaskSpec {
     /// Mark the task exclusive (runs alone).
     pub fn exclusive(mut self) -> Self {
         self.exclusive = true;
-        self
-    }
-
-    /// Exclude the task from the default `repro lab` graph.
-    pub fn non_default(mut self) -> Self {
-        self.default_set = false;
         self
     }
 
@@ -326,17 +317,9 @@ impl Dag {
         Ok(self.close_over_deps(selected))
     }
 
-    /// The default graph: every task not marked
-    /// [`non_default`](TaskSpec::non_default), closed over dependencies.
-    pub fn default_set(&self) -> BTreeSet<usize> {
-        let seed: BTreeSet<usize> = self
-            .tasks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.default_set)
-            .map(|(i, _)| i)
-            .collect();
-        self.close_over_deps(seed)
+    /// Every task: the graph `repro lab` runs without `--only`.
+    pub fn all(&self) -> BTreeSet<usize> {
+        (0..self.tasks.len()).collect()
     }
 
     fn close_over_deps(&self, mut set: BTreeSet<usize>) -> BTreeSet<usize> {

@@ -193,7 +193,7 @@ proptest! {
     #[test]
     fn parallel_and_serial_runs_emit_identical_manifests(seed in 0u64..1_000_000) {
         let dag = seeded_dag();
-        let selected = dag.default_set();
+        let selected = dag.all();
         let serial_root = scratch(&format!("serial-{seed}"));
         let parallel_root = scratch(&format!("parallel-{seed}"));
 
@@ -240,7 +240,7 @@ fn verify_masks_declared_keys_and_catches_the_rest() {
     for (masked, expect) in [(true, TaskStatus::Ok), (false, TaskStatus::Failed)] {
         let dag = noisy_dag(masked);
         let root = scratch(if masked { "masked" } else { "unmasked" });
-        let selected = dag.default_set();
+        let selected = dag.all();
         let exec = Executor::new(&root, 1, 0, LabEnv::unknown()).quiet();
         assert!(exec.run(&dag, &selected).ok());
         let summary = exec.verify(&dag, &selected);
@@ -264,7 +264,7 @@ fn verify_skips_tasks_with_only_volatile_outputs() {
     })])
     .unwrap();
     let root = scratch("volatile");
-    let selected = dag.default_set();
+    let selected = dag.all();
     let exec = Executor::new(&root, 1, 0, LabEnv::unknown()).quiet();
     assert!(exec.run(&dag, &selected).ok());
     let summary = exec.verify(&dag, &selected);
@@ -281,7 +281,7 @@ fn failed_dependency_skips_dependents() {
     .unwrap();
     let root = scratch("skip");
     let exec = Executor::new(&root, 1, 0, LabEnv::unknown()).quiet();
-    let summary = exec.run(&dag, &dag.default_set());
+    let summary = exec.run(&dag, &dag.all());
     assert!(!summary.ok());
     assert_eq!(summary.count(TaskStatus::Failed), 1);
     assert_eq!(summary.count(TaskStatus::Skipped), 1);

@@ -26,9 +26,9 @@ const NR: usize = 8;
 
 /// Below this many multiply-adds a product stays on the calling thread:
 /// scope spawn/join overhead would dominate the kernel. Measured on the
-/// SIMD kernels (see `repro bench`): a 64×512×2048 product (~6.7e7
-/// muladds) runs ~0.9 ms single-threaded, so anything under ~2e6
-/// muladds (<50 µs) is pure spawn overhead.
+/// SIMD kernels: a 64×512×2048 product (~6.7e7 muladds) runs ~0.9 ms
+/// single-threaded, so anything under ~2e6 muladds (<50 µs) is pure
+/// spawn overhead.
 const PAR_MIN_MULADDS: usize = 1 << 21;
 
 /// Dispatch one row-range of the NN product to the AVX2 or scalar
