@@ -1,93 +1,141 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro lab [--only <glob>]... [--jobs N] [--seed N] [--verify]
+//! repro [lab] [<name>]... [--only <glob>]... [--jobs N] [--verify] [--json]
 //! repro list
-//! repro [plan|table1|...|faults|crash|trace|all]... [--json]
 //! ```
 //!
-//! `repro lab` runs the experiment DAG: independent tasks in parallel
-//! (bounded by `--jobs`), each emitting its artifacts plus a
+//! Every experiment is a task of the lab's list
+//! (`janus_bench::experiments::registry`). `repro` runs the selected
+//! tasks — the non-exclusive ones in parallel (bounded by `--jobs`), then
+//! each exclusive one alone — and each writes its artifacts plus a
 //! reproducibility `manifest.json` and a `diagnostics.json` under
-//! `artifacts/<task>/`. `--only` selects tasks by name or `tag/name`
-//! glob (e.g. `--only 'ci/*'`, `--only 'fig*'`), closed over
-//! dependencies. `--verify` re-runs each selected task from its
-//! recorded manifest and fails on any bitwise difference in the
-//! canonical (timing-masked) artifact digests.
+//! `artifacts/<task>/`.
 //!
-//! The experiment names (`fig12`, `faults`, ...) remain as thin aliases
-//! that run the matching task serially; `all` runs every task. Add
-//! `--json` to also dump each artifact's raw rows as JSON (for
-//! EXPERIMENTS.md bookkeeping).
+//! A selector is a task name or a `tag/name` glob (`fig12`, `'fig*'`,
+//! `'ci/*'`); a bare word selects exactly as `--only <word>` does. No
+//! selector selects every task. The leading `lab` is optional.
+//! `--verify` re-runs each selected task from its recorded manifest and
+//! fails on any bitwise difference in the canonical (timing-masked)
+//! artifact digests. `--json` also echoes each artifact's raw rows as a
+//! `JSON[stem]: ...` line (for EXPERIMENTS.md bookkeeping).
 //!
-//! Performance is measured by the perf ledger (`ledger/`, declared in
-//! `BENCHMARK.json`), not by this binary.
+//! Exit status: 0 when every task succeeded, 1 when one failed, 2 on a
+//! usage error. Performance is measured by the perf ledger (`ledger/`,
+//! declared in `BENCHMARK.json`), not by this binary.
 
-use janus_bench::lab::registry;
+use janus_bench::experiments::registry;
 use janus_lab::{Dag, Executor, LabEnv, RunSummary, TaskStatus};
 use std::collections::BTreeSet;
 
 /// Where the lab writes artifacts, relative to the invocation directory.
 const ARTIFACT_ROOT: &str = "artifacts";
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let dag = registry();
-    let code = match args.first().map(String::as_str) {
-        Some("lab") => run_lab(&dag, &args[1..]),
-        Some("list") => {
-            print_task_list(&dag);
-            0
-        }
-        _ => run_legacy(&dag, &args),
-    };
-    std::process::exit(code);
+const USAGE: &str =
+    "usage: repro [lab] [<name>]... [--only <glob>]... [--jobs N] [--verify] [--json]
+       repro list";
+
+/// What the command line asks for.
+#[derive(Debug, PartialEq, Eq)]
+enum Command {
+    /// Print the task list.
+    List,
+    /// Run (or verify) the selected tasks.
+    Run(Opts),
 }
 
-/// `repro lab`: execute (or verify) the selected subgraph.
-fn run_lab(dag: &Dag, args: &[String]) -> i32 {
-    let mut only: Vec<String> = Vec::new();
-    let mut jobs = janus_tensor::pool::threads().min(4);
-    let mut seed = 0u64;
-    let mut verify = false;
+/// The options of a run.
+#[derive(Debug, PartialEq, Eq)]
+struct Opts {
+    /// Selected task indices, in registration order.
+    selected: BTreeSet<usize>,
+    /// Concurrent task bound; `None` picks the default.
+    jobs: Option<usize>,
+    /// Verify recorded manifests instead of running.
+    verify: bool,
+    /// Echo each JSON artifact after the run.
+    json: bool,
+}
+
+/// Parse the arguments against the task list. An error is a usage
+/// error: exit status 2.
+fn parse(dag: &Dag, args: &[String]) -> Result<Command, String> {
+    let args = match args.first().map(String::as_str) {
+        Some("list") if args.len() == 1 => return Ok(Command::List),
+        Some("lab") => &args[1..],
+        _ => args,
+    };
+    let mut only = Vec::new();
+    let mut jobs = None;
+    let (mut verify, mut json) = (false, false);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--only" => match it.next() {
                 Some(glob) => only.push(glob.clone()),
-                None => return usage("--only needs a glob argument"),
+                None => return Err("--only needs a glob argument".to_string()),
             },
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => jobs = n,
-                None => return usage("--jobs needs a positive integer"),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => seed = n,
-                None => return usage("--seed needs an integer"),
+            "--jobs" => match it.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0) {
+                Some(n) => jobs = Some(n),
+                None => return Err("--jobs needs a positive integer".to_string()),
             },
             "--verify" => verify = true,
-            other => return usage(&format!("unknown `repro lab` flag `{other}`")),
+            "--json" => json = true,
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            word => only.push(word.to_string()),
         }
     }
     let selected = if only.is_empty() {
         dag.all()
     } else {
-        match dag.select(&only) {
-            Ok(sel) => sel,
-            Err(e) => {
-                eprintln!("{e}");
-                print_task_list(dag);
-                return 2;
-            }
+        dag.select(&only).map_err(|e| e.to_string())?
+    };
+    Ok(Command::Run(Opts {
+        selected,
+        jobs,
+        verify,
+        json,
+    }))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let dag = registry();
+    let code = match parse(&dag, &args) {
+        Ok(Command::List) => {
+            print_task_list(&dag);
+            0
+        }
+        Ok(Command::Run(opts)) => run(&dag, &opts),
+        Err(msg) => {
+            eprintln!("{msg}");
+            print_task_list(&dag);
+            2
         }
     };
-    let exec = Executor::new(ARTIFACT_ROOT, jobs, seed, LabEnv::detect());
-    let summary = if verify {
-        exec.verify(dag, &selected)
+    std::process::exit(code);
+}
+
+/// Run or verify the selection, print the summary, and echo the JSON
+/// artifacts of the tasks that succeeded when asked.
+fn run(dag: &Dag, opts: &Opts) -> i32 {
+    let jobs = opts
+        .jobs
+        .unwrap_or_else(|| janus_tensor::pool::threads().min(4));
+    let exec = Executor::new(ARTIFACT_ROOT, jobs, LabEnv::detect());
+    let summary = if opts.verify {
+        exec.verify(dag, &opts.selected)
     } else {
-        exec.run(dag, &selected)
+        exec.run(dag, &opts.selected)
     };
-    print_summary(if verify { "verify" } else { "run" }, &summary);
+    print_summary(if opts.verify { "verify" } else { "run" }, &summary);
+    if opts.json {
+        for o in &summary.outcomes {
+            if o.status == TaskStatus::Ok {
+                dump_artifacts(&o.name);
+            }
+        }
+    }
     i32::from(!summary.ok())
 }
 
@@ -106,25 +154,18 @@ fn print_summary(mode: &str, summary: &RunSummary) {
     }
 }
 
-/// The registry-derived task listing (also the unknown-subcommand help).
+/// The registry-derived task listing (also the usage-error help).
 fn print_task_list(dag: &Dag) {
-    eprintln!("tasks (repro <name>, or repro lab --only <glob>):");
+    eprintln!("{USAGE}");
+    eprintln!("tasks:");
     for t in dag.tasks() {
-        let mut notes = Vec::new();
-        if !t.tags.is_empty() {
-            notes.push(
-                t.tags
-                    .iter()
-                    .map(|tag| format!("{tag}/{}", t.name))
-                    .collect::<Vec<_>>()
-                    .join(" "),
-            );
-        }
+        let mut notes: Vec<String> = t
+            .tags
+            .iter()
+            .map(|tag| format!("{tag}/{}", t.name))
+            .collect();
         if t.exclusive {
             notes.push("exclusive".to_string());
-        }
-        if !t.deps.is_empty() {
-            notes.push(format!("needs {}", t.deps.join(", ")));
         }
         if notes.is_empty() {
             eprintln!("  {}", t.name);
@@ -132,59 +173,6 @@ fn print_task_list(dag: &Dag) {
             eprintln!("  {:<12} ({})", t.name, notes.join("; "));
         }
     }
-    eprintln!("  all          (every task, serially)");
-}
-
-fn usage(msg: &str) -> i32 {
-    eprintln!("{msg}");
-    eprintln!("usage: repro lab [--only <glob>]... [--jobs N] [--seed N] [--verify]");
-    2
-}
-
-/// The pre-lab CLI: experiment names as serial aliases over the task
-/// registry.
-fn run_legacy(dag: &Dag, args: &[String]) -> i32 {
-    let mut names: Vec<String> = args.to_vec();
-    let json = names.iter().any(|a| a == "--json");
-    names.retain(|a| a != "--json");
-    if names.is_empty() || names.iter().any(|a| a == "all") {
-        names = dag
-            .topo_order(0)
-            .into_iter()
-            .map(|i| dag.tasks()[i].name.clone())
-            .collect();
-    }
-
-    let exec = Executor::new(ARTIFACT_ROOT, 1, 0, LabEnv::detect());
-    for name in &names {
-        let code = run_alias(dag, &exec, name, json);
-        if code != 0 {
-            return code;
-        }
-    }
-    0
-}
-
-/// Run one named task serially through the executor; with `--json`,
-/// echo each JSON artifact as a compact `JSON[stem]: ...` line.
-fn run_alias(dag: &Dag, exec: &Executor, name: &str, json: bool) -> i32 {
-    let Some(idx) = dag.find(name) else {
-        eprintln!("unknown experiment: {name}");
-        print_task_list(dag);
-        return 2;
-    };
-    let selected: BTreeSet<usize> = dag
-        .select(&[name.to_string()])
-        .expect("registered name selects");
-    let summary = exec.run(dag, &selected);
-    if !summary.ok() {
-        print_summary("run", &summary);
-        return 1;
-    }
-    if json {
-        dump_artifacts(&dag.tasks()[idx].name);
-    }
-    0
 }
 
 /// Echo every JSON artifact of `task` as a compact `JSON[stem]: ...`
@@ -217,6 +205,91 @@ fn dump_artifacts(task: &str) {
                 serde_json::to_string(&v).expect("re-render parsed JSON")
             ),
             Err(_) => println!("JSON[{stem}]: {}", text.trim()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_args(args: &[&str]) -> Result<Command, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse(&registry(), &args)
+    }
+
+    fn names(dag: &Dag, cmd: &Command) -> Vec<String> {
+        match cmd {
+            Command::Run(opts) => opts
+                .selected
+                .iter()
+                .map(|&i| dag.tasks()[i].name.clone())
+                .collect(),
+            Command::List => panic!("expected a run"),
+        }
+    }
+
+    #[test]
+    fn bare_names_select_like_only() {
+        let dag = registry();
+        let bare = parse_args(&["fig13", "table1"]).unwrap();
+        assert_eq!(names(&dag, &bare), ["table1", "fig13"]);
+        assert_eq!(
+            bare,
+            parse_args(&["--only", "fig13", "--only", "table1"]).unwrap()
+        );
+        assert_eq!(bare, parse_args(&["lab", "table1", "fig13"]).unwrap());
+    }
+
+    #[test]
+    fn lab_only_with_jobs_and_verify() {
+        let dag = registry();
+        let cmd = parse_args(&["lab", "--only", "ci/*", "--jobs", "4", "--verify"]).unwrap();
+        assert_eq!(
+            names(&dag, &cmd),
+            ["faults", "migrate", "serve", "analyze", "crash", "trace"]
+        );
+        let Command::Run(opts) = cmd else {
+            unreachable!()
+        };
+        assert_eq!(opts.jobs, Some(4));
+        assert!(opts.verify && !opts.json);
+    }
+
+    #[test]
+    fn no_selector_selects_every_task() {
+        let dag = registry();
+        for args in [&[][..], &["lab"], &["--jobs", "2"]] {
+            let Command::Run(opts) = parse_args(args).unwrap() else {
+                panic!("expected a run")
+            };
+            assert_eq!(opts.selected, dag.all(), "{args:?}");
+        }
+        assert_eq!(parse_args(&["list"]).unwrap(), Command::List);
+    }
+
+    #[test]
+    fn json_flag_is_recorded() {
+        let Command::Run(opts) = parse_args(&["fig3", "--json"]).unwrap() else {
+            panic!("expected a run")
+        };
+        assert!(opts.json && !opts.verify);
+        assert_eq!(opts.jobs, None);
+    }
+
+    #[test]
+    fn usage_errors_exit_2() {
+        for args in [
+            &["bogus"][..],
+            &["all"],
+            &["lab", "--only", "nope*"],
+            &["--seed", "7"],
+            &["lab", "--seed", "7"],
+            &["--jobs"],
+            &["--jobs", "0"],
+            &["--only"],
+        ] {
+            assert!(parse_args(args).is_err(), "{args:?} must be a usage error");
         }
     }
 }

@@ -1,17 +1,135 @@
 //! One module per paper artifact. Every `run()` regenerates the numbers
 //! the paper reports; every `print()` lays them out next to the paper's
-//! published values.
+//! published values; every `task()` is the artifact's entry in the lab's
+//! task list, [`registry`].
+//!
+//! Task conventions:
+//!
+//! - Pure-simulator tasks (tables, figures, plan, ablations) are fully
+//!   deterministic: their artifacts verify bitwise.
+//! - Chaos tasks (`faults`, `crash`) mask their wall-clock-dependent
+//!   JSON fields (retransmit counters, recovery latencies) so the
+//!   determinism claims — zero loss/weight divergence, plan digests,
+//!   checkpoint ledgers — still verify bitwise.
+//! - Tasks that mutate the global span recorder (`serve`, `analyze`,
+//!   `crash`, `trace`) or time a real localhost mesh (`migrate`) run
+//!   [`exclusive`](TaskSpec::exclusive). Their wall-clock fields are
+//!   masked or their files volatile; `trace`'s simulator-derived
+//!   timelines still verify.
 
 use crate::paper_cluster;
 use crate::table;
 use janus_core::sim::engine::{simulate_iteration, EngineOpts, ParadigmPolicy};
 use janus_core::sim::IterationReport;
+use janus_lab::{Dag, OutFile, TaskReport, TaskSpec};
 use janus_moe::config::{pr_moe_transformer_xl, ModelConfig, ModelPreset};
 use serde::Serialize;
+use serde_json::Value;
+use std::path::Path;
 
 fn run(machines: usize, model: ModelConfig, opts: &EngineOpts) -> IterationReport {
     simulate_iteration(paper_cluster(machines), model, opts)
         .expect("engine-built graphs must simulate cleanly")
+}
+
+/// The lab's task list, in run order. `repro` selects from it by name or
+/// `tag/name` glob.
+pub fn registry() -> Dag {
+    Dag::new(vec![
+        plan::task(),
+        rmetric::task(),
+        table1::task(),
+        goodput::task(),
+        fig3::task(),
+        fig12::task(),
+        fig13::task(),
+        fig14::task(),
+        sensitivity::fig15_task(),
+        sensitivity::fig16_task(),
+        fig17::task(),
+        ablations::task(),
+        faults::task(),
+        migrate::task(),
+        serve::task(),
+        analyze::task(),
+        crash::task(),
+        trace_run::task(),
+    ])
+    .expect("static registry has unique, path-safe names")
+}
+
+/// The one shape of every experiment task: `run` in the task's artifact
+/// directory, `print` under the stdout lock (so concurrent tasks
+/// interleave whole tables, never lines), and `report` the files, config
+/// and plan digests for the executor to write and hash.
+fn lab_task<R: 'static>(
+    name: &'static str,
+    run: impl Fn(&Path) -> Result<R, String> + Send + Sync + 'static,
+    print: impl Fn(&R) + Send + Sync + 'static,
+    report: impl Fn(&R) -> TaskReport + Send + Sync + 'static,
+) -> TaskSpec {
+    TaskSpec::new(name, move |dir| {
+        let out = run(dir)?;
+        {
+            let _g = janus_lab::stdout_lock();
+            print(&out);
+        }
+        Ok(report(&out))
+    })
+}
+
+/// A deterministic simulator task whose rows become `<name>.json`.
+fn sim_task<R: Serialize + 'static>(
+    name: &'static str,
+    run: impl Fn() -> R + Send + Sync + 'static,
+    print: impl Fn(&R) + Send + Sync + 'static,
+) -> TaskSpec {
+    lab_task(
+        name,
+        move |_| Ok(run()),
+        print,
+        move |rows| json_report(&format!("{name}.json"), rows, sim_config(name), Vec::new()),
+    )
+}
+
+/// The report of a task whose one artifact is `rows` as JSON.
+fn json_report<T: Serialize>(
+    file: &str,
+    rows: &T,
+    config: Value,
+    plan_digests: Vec<String>,
+) -> TaskReport {
+    TaskReport {
+        files: vec![OutFile::new(file, json_bytes(rows))],
+        config,
+        plan_digests,
+    }
+}
+
+/// The config every simulator task records: the paper's 4-machine
+/// cluster.
+fn sim_config(name: &str) -> Value {
+    task_config(name, &[("machines", Value::Num(4.0))])
+}
+
+/// The config of a seeded chaos run.
+fn seeded_config(name: &str, seed: u64, iters: u64) -> Value {
+    let num = |x: u64| Value::Num(x as f64);
+    task_config(name, &[("seed", num(seed)), ("iters", num(iters))])
+}
+
+/// A manifest config object: `{"experiment": name, ...fields}`.
+fn task_config(name: &str, fields: &[(&str, Value)]) -> Value {
+    let mut obj = vec![("experiment".to_string(), Value::Str(name.to_string()))];
+    obj.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
+    Value::Obj(obj)
+}
+
+/// Pretty-rendered JSON bytes with a trailing newline.
+fn json_bytes<T: Serialize>(v: &T) -> Vec<u8> {
+    let mut s = serde_json::to_string_pretty(v).expect("experiment rows serialize");
+    s.push('\n');
+    s.into_bytes()
 }
 
 /// Table 1: model configurations and per-machine cross-node traffic under
@@ -127,6 +245,11 @@ pub mod table1 {
             )
         );
     }
+
+    /// The lab task.
+    pub fn task() -> TaskSpec {
+        sim_task("table1", run, |rows| print(rows))
+    }
 }
 
 /// §3.1 goodput observation: intra-node vs inter-node All-to-All.
@@ -187,6 +310,11 @@ pub mod goodput {
             "intra/inter gap: {gap:.1}× (paper: {:.1}×)\n",
             1846.58 / 101.9
         );
+    }
+
+    /// The lab task.
+    pub fn task() -> TaskSpec {
+        sim_task("goodput", run, |rows| print(rows))
     }
 }
 
@@ -252,6 +380,11 @@ pub mod fig3 {
                 &body
             )
         );
+    }
+
+    /// The lab task.
+    pub fn task() -> TaskSpec {
+        sim_task("fig3", run, |rows| print(rows))
     }
 }
 
@@ -342,6 +475,11 @@ pub mod fig12 {
                 &body
             )
         );
+    }
+
+    /// The lab task.
+    pub fn task() -> TaskSpec {
+        sim_task("fig12", run, |rows| print(rows))
     }
 }
 
@@ -449,6 +587,11 @@ pub mod fig13 {
             table::speedup(s.fwd_speedup)
         );
     }
+
+    /// The lab task.
+    pub fn task() -> TaskSpec {
+        sim_task("fig13", run, print)
+    }
 }
 
 /// Figure 14: end-to-end Janus vs Tutel.
@@ -517,6 +660,11 @@ pub mod fig14 {
                 &body
             )
         );
+    }
+
+    /// The lab task.
+    pub fn task() -> TaskSpec {
+        sim_task("fig14", run, |rows| print(rows))
     }
 }
 
@@ -636,6 +784,23 @@ pub mod sensitivity {
             )
         );
     }
+
+    /// The Figure 15 lab task.
+    pub fn fig15_task() -> TaskSpec {
+        sim_task("fig15", run_fig15, |rows| {
+            print("Figure 15 — batch-size sensitivity (Janus vs Tutel)", rows)
+        })
+    }
+
+    /// The Figure 16 lab task.
+    pub fn fig16_task() -> TaskSpec {
+        sim_task("fig16", run_fig16, |rows| {
+            print(
+                "Figure 16 — sequence-length sensitivity (OOM = exceeds 80 GB)",
+                rows,
+            )
+        })
+    }
 }
 
 /// Figure 17: unified paradigm on PR-MoE.
@@ -726,6 +891,11 @@ pub mod fig17 {
             )
         );
     }
+
+    /// The lab task.
+    pub fn task() -> TaskSpec {
+        sim_task("fig17", run, |rows| print(rows))
+    }
 }
 
 /// §5.1.3 / §7.3: the R metric across configurations.
@@ -813,6 +983,11 @@ pub mod rmetric {
             "{}",
             table::render(&["model", "machines", "R (per block)", "paper"], &body)
         );
+    }
+
+    /// The lab task.
+    pub fn task() -> TaskSpec {
+        sim_task("rmetric", run, |rows| print(rows))
     }
 }
 
@@ -949,6 +1124,21 @@ pub mod plan {
                 &body
             )
         );
+    }
+
+    /// The lab task. The artifact carries the per-model plan digests, so
+    /// the report surfaces them into the manifest's `plan_digests`.
+    pub fn task() -> TaskSpec {
+        lab_task(
+            "plan",
+            |_| Ok(run()),
+            |rows| print(rows),
+            |rows| {
+                let mut digests: Vec<String> = rows.iter().map(|r| r.digest.clone()).collect();
+                digests.dedup();
+                json_report("plan.json", rows, sim_config("plan"), digests)
+            },
+        )
     }
 }
 
@@ -1120,22 +1310,23 @@ pub mod ablations {
             table::render(&["model", "flat (ms)", "staged (ms)", "traffic GiB"], &body)
         );
     }
-}
 
-/// Chrome-trace export of the Figure 13 timeline.
-pub mod trace_export {
-    use super::*;
-
-    /// Run the Figure 13 configuration and write its task timeline as a
-    /// Chrome trace (load in `chrome://tracing` or Perfetto). Returns the
-    /// path written.
-    pub fn write(path: &str) -> std::io::Result<String> {
-        let model = ModelPreset::MoeGpt.config(32);
-        let mut opts = EngineOpts::data_centric(false, true);
-        opts.include_backward = false;
-        let report = super::run(4, model, &opts);
-        std::fs::write(path, report.sim.to_chrome_trace())?;
-        Ok(path.to_string())
+    /// The lab task: one artifact per sweep.
+    pub fn task() -> TaskSpec {
+        lab_task(
+            "ablations",
+            |_| Ok((credit_sweep(), latency_sweep(), a2a_style())),
+            |(credits, latency, a2a)| print(credits, latency, a2a),
+            |(credits, latency, a2a)| TaskReport {
+                files: vec![
+                    OutFile::new("ablation_credits.json", json_bytes(credits)),
+                    OutFile::new("ablation_latency.json", json_bytes(latency)),
+                    OutFile::new("ablation_a2a.json", json_bytes(a2a)),
+                ],
+                config: sim_config("ablations"),
+                plan_digests: Vec::new(),
+            },
+        )
     }
 }
 
@@ -1165,16 +1356,11 @@ pub mod trace_run {
         pub totals: CommSnapshot,
     }
 
-    /// Run in the current directory.
-    pub fn run() -> std::io::Result<Report> {
-        run_in(".")
-    }
-
     /// Train the mixed-paradigm preset for two iterations with recording
     /// on, writing `trace_rank{N}.json`, `trace_sim.json`, and
     /// `METRICS.txt` under `dir`. Every trace written is re-validated
     /// against the Chrome trace-event schema before this returns.
-    pub fn run_in(dir: &str) -> std::io::Result<Report> {
+    pub fn run_in(dir: &Path) -> std::io::Result<Report> {
         let rec = global();
         rec.enable();
         let cfg = ExecConfig::mixed_paradigms();
@@ -1186,7 +1372,7 @@ pub mod trace_run {
         let mut write_trace = |name: String, json: String| -> std::io::Result<()> {
             let events = validate_chrome_trace(&json)
                 .map_err(|e| std::io::Error::other(format!("{name}: {e}")))?;
-            let path = Path::new(dir).join(&name);
+            let path = dir.join(&name);
             std::fs::write(&path, json)?;
             traces.push((path.display().to_string(), events));
             Ok(())
@@ -1207,7 +1393,7 @@ pub mod trace_run {
         let sim = super::run(2, model, &opts);
         write_trace("trace_sim.json".to_string(), sim.sim.to_chrome_trace())?;
 
-        let metrics_path = Path::new(dir).join("METRICS.txt");
+        let metrics_path = dir.join("METRICS.txt");
         std::fs::write(&metrics_path, metrics_text)?;
 
         Ok(Report {
@@ -1237,6 +1423,58 @@ pub mod trace_run {
             t.retransmits
         );
         println!("open traces in https://ui.perfetto.dev or chrome://tracing");
+    }
+
+    /// Run the Figure 13 configuration and write its task timeline to
+    /// `path` as a Chrome trace (load in `chrome://tracing` or Perfetto).
+    fn write_fig13_timeline(path: &Path) -> std::io::Result<()> {
+        let model = ModelPreset::MoeGpt.config(32);
+        let mut opts = EngineOpts::data_centric(false, true);
+        opts.include_backward = false;
+        let report = super::run(4, model, &opts);
+        std::fs::write(path, report.sim.to_chrome_trace())
+    }
+
+    /// The lab task. Per-rank traces and the metrics dump carry real
+    /// timestamps (volatile); the two simulator-derived timelines are
+    /// deterministic and verify. Enables the global recorder → exclusive.
+    pub fn task() -> TaskSpec {
+        lab_task(
+            "trace",
+            |dir| {
+                let report = run_in(dir).map_err(|e| e.to_string())?;
+                let timeline = dir.join("fig13_timeline.json");
+                write_fig13_timeline(&timeline).map_err(|e| e.to_string())?;
+                Ok((report, timeline))
+            },
+            |(report, timeline)| {
+                print(report);
+                println!(
+                    "wrote {} (open in chrome://tracing or Perfetto)",
+                    timeline.display()
+                );
+            },
+            |(report, _)| {
+                let mut files = vec![OutFile::on_disk("fig13_timeline.json", false)];
+                for (path, _events) in &report.traces {
+                    let name = Path::new(path)
+                        .file_name()
+                        .and_then(|n| n.to_str())
+                        .expect("trace paths end in the file name written");
+                    // Only the simulator timeline is clock-free.
+                    files.push(OutFile::on_disk(name, name != "trace_sim.json"));
+                }
+                files.push(OutFile::on_disk("METRICS.txt", true));
+                files.push(OutFile::volatile("trace.json", json_bytes(report)));
+                TaskReport {
+                    files,
+                    config: task_config("trace", &[("iters", Value::Num(2.0))]),
+                    plan_digests: Vec::new(),
+                }
+            },
+        )
+        .tag("ci")
+        .exclusive()
     }
 }
 
@@ -1580,6 +1818,23 @@ pub mod crash {
             report.ckpt_save_spans, report.ckpt_load_spans, report.recoveries_observed
         );
     }
+
+    /// The lab task. Enables the global span recorder → exclusive.
+    /// Recovery latency percentiles are wall-clock → masked.
+    pub fn task() -> TaskSpec {
+        lab_task(
+            "crash",
+            |_| Ok(run()),
+            print,
+            |r| {
+                let config = seeded_config("crash", r.seed, r.iters);
+                json_report("crash.json", r, config, vec![r.plan_digest.clone()])
+            },
+        )
+        .tag("ci")
+        .exclusive()
+        .mask(&["recover_p50_us", "recover_p99_us"])
+    }
 }
 
 /// Fault injection: the unified engine over a lossy mesh, with the
@@ -1758,6 +2013,23 @@ pub mod faults {
              in place — only the elastic driver's permanent-death and skew \
              verdicts re-place experts; see `repro migrate`)"
         );
+    }
+
+    /// The lab task. Retransmit/ack/delay counters depend on real timing,
+    /// so `counters`/`totals` are masked; the divergence bounds and the
+    /// plan digest still verify bitwise.
+    pub fn task() -> TaskSpec {
+        lab_task(
+            "faults",
+            |_| Ok(run()),
+            print,
+            |r| {
+                let config = seeded_config("faults", r.seed, r.iters);
+                json_report("faults.json", r, config, vec![r.plan_digest.clone()])
+            },
+        )
+        .tag("ci")
+        .mask(&["counters", "totals"])
     }
 }
 
@@ -2466,6 +2738,29 @@ pub mod migrate {
             );
         }
     }
+
+    /// The lab task. Everything is deterministic except the measured TCP
+    /// wall times, which live under the masked `timing` key. Binds
+    /// localhost sockets and times a real mesh → exclusive.
+    pub fn task() -> TaskSpec {
+        lab_task(
+            "migrate",
+            |_| Ok(run()),
+            print,
+            |r| {
+                let config = seeded_config("migrate", r.seed, r.iters);
+                json_report(
+                    "migrate_report.json",
+                    r,
+                    config,
+                    vec![r.plan_digest.clone()],
+                )
+            },
+        )
+        .tag("ci")
+        .exclusive()
+        .mask(MASKED_KEYS)
+    }
 }
 
 /// The serving-plane SLO sweep: p50/p99 versus replica budget, simulated
@@ -2593,6 +2888,34 @@ pub mod serve {
             "sim p99 improves with replica budget: {}\n",
             slo.sim_p99_improves
         );
+    }
+
+    /// The lab task. The simulated half (latency vs replica budget)
+    /// verifies bitwise; the real TCP half's measured latencies are
+    /// masked, while its structural fields (completions, failovers,
+    /// replica plans) still verify. Enables the global recorder for the
+    /// request-latency histogram it prints → exclusive.
+    pub fn task() -> TaskSpec {
+        lab_task(
+            "serve",
+            |_| Ok(run()),
+            print,
+            |report| {
+                let slo = &report.slo;
+                let config = task_config(
+                    "serve",
+                    &[
+                        ("seed", Value::Num(slo.seed as f64)),
+                        ("requests", Value::Num(slo.requests as f64)),
+                        ("zipf", Value::Num(slo.zipf)),
+                    ],
+                );
+                json_report("serve_slo.json", slo, config, Vec::new())
+            },
+        )
+        .tag("ci")
+        .exclusive()
+        .mask(janus_serve::report::MASKED_KEYS)
     }
 }
 
@@ -2830,5 +3153,77 @@ pub mod analyze {
                 ""
             }
         );
+    }
+
+    /// The lab task. Mutates the global recorder → exclusive. The
+    /// blame/drift/skew *structure* (segment keys, deterministic
+    /// gate-skew flags, sim predictions, the plan digest) verifies
+    /// bitwise; every tick-derived value is masked.
+    pub fn task() -> TaskSpec {
+        lab_task(
+            "analyze",
+            |_| run(),
+            print,
+            |r| {
+                let config = task_config(
+                    "analyze",
+                    &[
+                        ("preset", Value::Str(r.preset.clone())),
+                        ("iters", Value::Num(r.iters as f64)),
+                    ],
+                );
+                json_report("analysis.json", r, config, vec![r.plan_digest.clone()])
+            },
+        )
+        .tag("ci")
+        .exclusive()
+        .mask(MASKED_KEYS)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn registry_is_valid_and_complete() {
+        let dag = registry();
+        let names: Vec<&str> = dag.tasks().iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "plan",
+                "rmetric",
+                "table1",
+                "goodput",
+                "fig3",
+                "fig12",
+                "fig13",
+                "fig14",
+                "fig15",
+                "fig16",
+                "fig17",
+                "ablations",
+                "faults",
+                "migrate",
+                "serve",
+                "analyze",
+                "crash",
+                "trace",
+            ]
+        );
+    }
+
+    /// CI runs `ci/*`; pinning it exactly keeps a wall-clock task from
+    /// slipping back into the CI selection.
+    #[test]
+    fn ci_selection_is_dep_closed() {
+        let dag = registry();
+        let sel = dag.select(&["ci/*".to_string()]).unwrap();
+        let names: BTreeSet<&str> = sel.iter().map(|&i| dag.tasks()[i].name.as_str()).collect();
+        let expected: BTreeSet<&str> =
+            ["faults", "migrate", "serve", "analyze", "crash", "trace"].into();
+        assert_eq!(names, expected);
     }
 }

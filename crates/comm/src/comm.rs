@@ -68,22 +68,6 @@ impl<T: Transport> Comm<T> {
         self.transport.recv()
     }
 
-    /// Non-blocking receive (buffered first).
-    pub fn try_recv_any(&self) -> Result<Option<(usize, Message)>, CommError> {
-        if let Some(front) = self.pending.borrow_mut().pop_front() {
-            return Ok(Some(front));
-        }
-        self.transport.try_recv()
-    }
-
-    /// Put a message back for a later `recv_*` call (at the back of the
-    /// buffer, preserving arrival order relative to other stashed
-    /// messages). Used by protocol loops that peek at traffic they cannot
-    /// handle yet.
-    pub fn stash(&self, from: usize, msg: Message) {
-        self.pending.borrow_mut().push_back((from, msg));
-    }
-
     /// Receive the earliest message satisfying `pred`, handing every other
     /// message to `consume` first; messages `consume` declines (returns
     /// `false` for) are buffered. This is the serve-while-waiting loop of
@@ -96,7 +80,7 @@ impl<T: Transport> Comm<T> {
     ) -> Result<(usize, Message), CommError> {
         // One pass over already-buffered messages. The buffer is taken
         // out first so `pred`/`consume` may freely call back into this
-        // `Comm` (send, stash) without re-entrant borrows.
+        // `Comm` (to send a reply) without re-entrant borrows.
         let taken: Vec<(usize, Message)> = self.pending.borrow_mut().drain(..).collect();
         let mut matched = None;
         for (from, msg) in taken {
@@ -264,21 +248,6 @@ mod tests {
             .unwrap();
         assert_eq!(b.buffered(), 1);
         assert_eq!(b.recv_any().unwrap().1, Message::Barrier { epoch: 10 });
-    }
-
-    #[test]
-    fn try_recv_and_stash_round_trip() {
-        let mut mesh = local_mesh(2);
-        let b = Comm::new(mesh.pop().unwrap());
-        let a = Comm::new(mesh.pop().unwrap());
-        assert!(b.try_recv_any().unwrap().is_none());
-        a.send(1, Message::Barrier { epoch: 3 }).unwrap();
-        // Give the (in-process) channel a beat; local delivery is
-        // immediate, so this is deterministic.
-        let (from, msg) = b.try_recv_any().unwrap().unwrap();
-        b.stash(from, msg);
-        assert_eq!(b.buffered(), 1);
-        assert_eq!(b.recv_any().unwrap(), (0, Message::Barrier { epoch: 3 }));
     }
 
     #[test]

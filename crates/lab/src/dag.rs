@@ -1,10 +1,8 @@
-//! Task nodes and the validated dependency graph.
+//! Task specs and the validated task list.
 
-use crate::manifest::Manifest;
-use janus_core::Fnv64;
 use serde_json::Value;
-use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::Path;
 
 /// One artifact file a task produced.
 #[derive(Debug, Clone)]
@@ -12,7 +10,7 @@ pub struct OutFile {
     /// File name inside the task's artifact directory.
     pub name: String,
     /// Content to write, or `None` when the task already wrote the file
-    /// into [`TaskCtx::dir`] itself (trace exporters do).
+    /// into its artifact directory itself (trace exporters do).
     pub bytes: Option<Vec<u8>>,
     /// Volatile files embed wall-clock measurements: their digest is
     /// recorded in the manifest for provenance but never verified.
@@ -38,7 +36,7 @@ impl OutFile {
         }
     }
 
-    /// A file the task wrote to [`TaskCtx::dir`] itself.
+    /// A file the task wrote to its artifact directory itself.
     pub fn on_disk(name: impl Into<String>, volatile: bool) -> Self {
         OutFile {
             name: name.into(),
@@ -71,32 +69,21 @@ impl Default for TaskReport {
     }
 }
 
-/// Execution context the executor passes to a task's run closure.
-pub struct TaskCtx<'a> {
-    /// The task's artifact directory (created, emptied of stale files).
-    pub dir: PathBuf,
-    /// The lab seed (scheduling + anything a task wants to derive).
-    pub seed: u64,
-    /// Manifests of this task's dependencies, in declaration order.
-    pub deps: &'a [(String, Manifest)],
-}
+/// The run closure: given the task's artifact directory (created and
+/// empty), produce artifact files, or a failure message.
+pub type TaskFn = Box<dyn Fn(&Path) -> Result<TaskReport, String> + Send + Sync>;
 
-/// The run closure: produce artifact files, or a failure message.
-pub type TaskFn = Box<dyn Fn(&TaskCtx) -> Result<TaskReport, String> + Send + Sync>;
-
-/// One node of the experiment graph.
+/// One experiment of the lab.
 pub struct TaskSpec {
     /// Unique name; also the artifact directory name, so it is
-    /// restricted to `[A-Za-z0-9._-]`.
+    /// restricted to `[A-Za-z0-9._-]` and may not start with `.`.
     pub name: String,
-    /// Names of tasks whose artifacts this one consumes.
-    pub deps: Vec<String>,
     /// Namespace tags: a task named `faults` with tag `ci` is selected
     /// by the glob `ci/*` as `ci/faults`.
     pub tags: Vec<String>,
-    /// Resource hint: run alone (no concurrent tasks), for tasks whose
-    /// timings must stay clean and for tasks that mutate process
-    /// globals (forced SIMD, pool width, the global recorder).
+    /// Resource hint: run alone (no concurrent tasks), for tasks that
+    /// time a real mesh or mutate process globals (the global span
+    /// recorder).
     pub exclusive: bool,
     /// JSON keys nulled out before hashing this task's `.json` artifacts
     /// — the timing-only fields excluded from bitwise verification.
@@ -106,25 +93,18 @@ pub struct TaskSpec {
 }
 
 impl TaskSpec {
-    /// A non-exclusive task with no dependencies.
+    /// A non-exclusive task.
     pub fn new(
         name: impl Into<String>,
-        run: impl Fn(&TaskCtx) -> Result<TaskReport, String> + Send + Sync + 'static,
+        run: impl Fn(&Path) -> Result<TaskReport, String> + Send + Sync + 'static,
     ) -> Self {
         TaskSpec {
             name: name.into(),
-            deps: Vec::new(),
             tags: Vec::new(),
             exclusive: false,
             masked_keys: Vec::new(),
             run: Box::new(run),
         }
-    }
-
-    /// Add a dependency edge.
-    pub fn dep(mut self, name: impl Into<String>) -> Self {
-        self.deps.push(name.into());
-        self
     }
 
     /// Add a namespace tag.
@@ -146,18 +126,14 @@ impl TaskSpec {
     }
 }
 
-/// Graph construction / selection errors.
+/// Task-list construction / selection errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DagError {
     /// Two tasks share a name.
     DuplicateName(String),
-    /// A task name contains characters unsafe for an artifact directory.
+    /// A task name is unsafe as an artifact directory name.
     BadName(String),
-    /// `task` depends on `dep`, which is not registered.
-    MissingDep { task: String, dep: String },
-    /// The graph has a cycle through these tasks.
-    Cycle(Vec<String>),
-    /// A `--only` glob matched no task.
+    /// A selector glob matched no task.
     NoMatch(String),
 }
 
@@ -168,72 +144,39 @@ impl std::fmt::Display for DagError {
             DagError::BadName(n) => write!(
                 f,
                 "task name `{n}` is not a safe artifact directory name \
-                 (use only letters, digits, `.`, `_`, `-`)"
+                 (use only letters, digits, `.`, `_`, `-`, and do not start with `.`)"
             ),
-            DagError::MissingDep { task, dep } => {
-                write!(f, "task `{task}` depends on unregistered task `{dep}`")
-            }
-            DagError::Cycle(names) => {
-                write!(f, "dependency cycle through: {}", names.join(" → "))
-            }
-            DagError::NoMatch(glob) => write!(f, "`--only {glob}` matched no task"),
+            DagError::NoMatch(glob) => write!(f, "no task matches `{glob}`"),
         }
     }
 }
 
 impl std::error::Error for DagError {}
 
-/// The validated experiment graph.
+/// The validated task list, in registration order.
 pub struct Dag {
     tasks: Vec<TaskSpec>,
-    index: BTreeMap<String, usize>,
 }
 
 impl Dag {
-    /// Validate and index a task list: names must be unique and
-    /// path-safe, every dependency registered, and the edge relation
-    /// acyclic.
+    /// Validate a task list: names must be unique and path-safe. A name
+    /// starting with `.` is rejected, so no task can own `.`, `..` or
+    /// the executor's `.verify` staging directory.
     pub fn new(tasks: Vec<TaskSpec>) -> Result<Self, DagError> {
-        let mut index = BTreeMap::new();
-        for (i, t) in tasks.iter().enumerate() {
-            if t.name.is_empty()
-                || !t
-                    .name
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
-            {
+        let mut names = BTreeSet::new();
+        for t in &tasks {
+            let safe = t
+                .name
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'));
+            if !safe || t.name.is_empty() || t.name.starts_with('.') {
                 return Err(DagError::BadName(t.name.clone()));
             }
-            if index.insert(t.name.clone(), i).is_some() {
+            if !names.insert(t.name.as_str()) {
                 return Err(DagError::DuplicateName(t.name.clone()));
             }
         }
-        for t in &tasks {
-            for d in &t.deps {
-                if !index.contains_key(d) {
-                    return Err(DagError::MissingDep {
-                        task: t.name.clone(),
-                        dep: d.clone(),
-                    });
-                }
-            }
-        }
-        let dag = Dag { tasks, index };
-        // Kahn's algorithm purely to detect cycles: whatever cannot be
-        // scheduled is on (or downstream of) a cycle.
-        let order = dag.topo_order(0);
-        if order.len() != dag.tasks.len() {
-            let scheduled: BTreeSet<usize> = order.into_iter().collect();
-            let stuck: Vec<String> = dag
-                .tasks
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !scheduled.contains(i))
-                .map(|(_, t)| t.name.clone())
-                .collect();
-            return Err(DagError::Cycle(stuck));
-        }
-        Ok(dag)
+        Ok(Dag { tasks })
     }
 
     /// All tasks, in registration order.
@@ -241,61 +184,9 @@ impl Dag {
         &self.tasks
     }
 
-    /// Look up a task index by name.
-    pub fn find(&self, name: &str) -> Option<usize> {
-        self.index.get(name).copied()
-    }
-
-    /// A topological order of the whole graph, deterministic per `seed`:
-    /// among simultaneously-ready tasks the next is the one with the
-    /// smallest seeded name hash, so two runs with the same seed
-    /// schedule identically while different seeds explore different
-    /// (still valid) interleavings. Returns fewer than `tasks.len()`
-    /// entries iff the graph has a cycle.
-    pub fn topo_order(&self, seed: u64) -> Vec<usize> {
-        let key = |i: usize| {
-            let mut h = Fnv64::new();
-            h.word(seed);
-            h.bytes(self.tasks[i].name.as_bytes());
-            (h.finish(), i)
-        };
-        let mut indegree: Vec<usize> = self.tasks.iter().map(|t| t.deps.len()).collect();
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); self.tasks.len()];
-        for (i, t) in self.tasks.iter().enumerate() {
-            for d in &t.deps {
-                // Self-edges are cycles; count them but add no dependent,
-                // so the node simply never becomes ready.
-                if let Some(&j) = self.index.get(d) {
-                    if j != i {
-                        dependents[j].push(i);
-                    }
-                }
-            }
-        }
-        let mut ready: BTreeSet<(u64, usize)> = indegree
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d == 0)
-            .map(|(i, _)| key(i))
-            .collect();
-        let mut order = Vec::with_capacity(self.tasks.len());
-        while let Some(&(k, i)) = ready.iter().next() {
-            ready.remove(&(k, i));
-            order.push(i);
-            for &j in &dependents[i] {
-                indegree[j] -= 1;
-                if indegree[j] == 0 {
-                    ready.insert(key(j));
-                }
-            }
-        }
-        order
-    }
-
-    /// Resolve `--only` globs to a dependency-closed task set. A glob
-    /// matches a task's name, or `tag/name` for each of its tags (so
-    /// `ci/*` selects every `ci`-tagged task). Errors if any glob
-    /// matches nothing.
+    /// Resolve selector globs to a task set. A glob matches a task's
+    /// name, or `tag/name` for each of its tags (so `ci/*` selects every
+    /// `ci`-tagged task). Errors if any glob matches nothing.
     pub fn select(&self, globs: &[String]) -> Result<BTreeSet<usize>, DagError> {
         let mut selected = BTreeSet::new();
         for g in globs {
@@ -314,25 +205,12 @@ impl Dag {
                 return Err(DagError::NoMatch(g.clone()));
             }
         }
-        Ok(self.close_over_deps(selected))
+        Ok(selected)
     }
 
-    /// Every task: the graph `repro lab` runs without `--only`.
+    /// Every task: what `repro` runs without a selector.
     pub fn all(&self) -> BTreeSet<usize> {
         (0..self.tasks.len()).collect()
-    }
-
-    fn close_over_deps(&self, mut set: BTreeSet<usize>) -> BTreeSet<usize> {
-        let mut frontier: Vec<usize> = set.iter().copied().collect();
-        while let Some(i) = frontier.pop() {
-            for d in &self.tasks[i].deps {
-                let j = self.index[d];
-                if set.insert(j) {
-                    frontier.push(j);
-                }
-            }
-        }
-        set
     }
 }
 

@@ -1,6 +1,6 @@
-//! Wave-based DAG executor with manifest emission and verification.
+//! The task executor: manifest emission and verification.
 
-use crate::dag::{Dag, TaskCtx, TaskSpec};
+use crate::dag::{Dag, TaskSpec};
 use crate::manifest::{canonical_digest, Diagnostics, FileEntry, Manifest};
 use janus_tensor::pool;
 use std::collections::{BTreeMap, BTreeSet};
@@ -64,8 +64,8 @@ pub enum TaskStatus {
     Ok,
     /// The run closure errored or panicked, or verification mismatched.
     Failed,
-    /// Not run: a dependency failed, or (in verify) every output is
-    /// volatile so there is nothing deterministic to check.
+    /// Not verified: every output is volatile, so there is nothing
+    /// deterministic to check.
     Skipped,
 }
 
@@ -85,7 +85,7 @@ pub struct TaskOutcome {
 /// Result of [`Executor::run`] / [`Executor::verify`].
 #[derive(Debug, Clone)]
 pub struct RunSummary {
-    /// One row per selected task, in completion order.
+    /// One row per selected task, in run order.
     pub outcomes: Vec<TaskOutcome>,
     /// Total wall time.
     pub elapsed_ms: u64,
@@ -103,17 +103,15 @@ impl RunSummary {
     }
 }
 
-/// Runs a [`Dag`] selection: schedules ready non-exclusive tasks in
-/// parallel on the `janus-tensor` pool (bounded by `jobs`), exclusive
-/// tasks alone, and writes `manifest.json` + `diagnostics.json` next to
-/// each task's artifacts under `root`.
+/// Runs a [`Dag`] selection: non-exclusive tasks in parallel on the
+/// `janus-tensor` pool (bounded by `jobs`), then exclusive tasks one at
+/// a time, each group in registration order. Writes `manifest.json` +
+/// `diagnostics.json` next to each task's artifacts under `root`.
 pub struct Executor {
     /// Artifact root; each task owns `root/<task>/`.
     pub root: PathBuf,
     /// Max concurrently running tasks.
     pub jobs: usize,
-    /// Lab seed (scheduling order + manifest field).
-    pub seed: u64,
     /// Identity stamped into manifests.
     pub env: LabEnv,
     /// Print per-task status lines.
@@ -122,11 +120,10 @@ pub struct Executor {
 
 impl Executor {
     /// Executor writing under `root`.
-    pub fn new(root: impl Into<PathBuf>, jobs: usize, seed: u64, env: LabEnv) -> Self {
+    pub fn new(root: impl Into<PathBuf>, jobs: usize, env: LabEnv) -> Self {
         Executor {
             root: root.into(),
             jobs: jobs.max(1),
-            seed,
             env,
             quiet: false,
         }
@@ -138,81 +135,17 @@ impl Executor {
         self
     }
 
-    /// Run the selected tasks in dependency order. Independent
-    /// non-exclusive tasks of a wave run concurrently; exclusive tasks
-    /// run alone. A task whose dependency failed is skipped.
+    /// Run the selected tasks: the non-exclusive ones concurrently, then
+    /// each exclusive one alone. A failed task does not stop the others.
     pub fn run(&self, dag: &Dag, selected: &BTreeSet<usize>) -> RunSummary {
         let t0 = Instant::now();
-        let order: Vec<usize> = dag
-            .topo_order(self.seed)
-            .into_iter()
-            .filter(|i| selected.contains(i))
-            .collect();
-        let mut done: BTreeMap<String, Manifest> = BTreeMap::new();
-        let mut unrunnable: BTreeSet<String> = BTreeSet::new();
-        let mut outcomes = Vec::with_capacity(order.len());
-        let mut pending: Vec<usize> = order;
-
-        while !pending.is_empty() {
-            // A task is ready when every dependency has been resolved
-            // (produced a manifest, failed, or sits outside the selection).
-            let resolved = |name: &String| {
-                done.contains_key(name)
-                    || unrunnable.contains(name)
-                    || dag.find(name).is_none_or(|i| !pending.contains(&i))
-            };
-            let (ready, rest): (Vec<usize>, Vec<usize>) = pending
-                .iter()
-                .partition(|&&i| dag.tasks()[i].deps.iter().all(&resolved));
-            assert!(!ready.is_empty(), "topo order guarantees progress");
-            pending = rest;
-
-            let mut wave: Vec<usize> = Vec::new();
-            let mut exclusive: Vec<usize> = Vec::new();
-            for i in ready {
-                let spec = &dag.tasks()[i];
-                if let Some(dep) = spec.deps.iter().find(|d| unrunnable.contains(*d)) {
-                    unrunnable.insert(spec.name.clone());
-                    let outcome = TaskOutcome {
-                        name: spec.name.clone(),
-                        status: TaskStatus::Skipped,
-                        detail: format!("dependency `{dep}` did not run"),
-                        elapsed_ms: 0,
-                    };
-                    self.report_line(&outcome);
-                    outcomes.push(outcome);
-                } else if spec.exclusive {
-                    exclusive.push(i);
-                } else {
-                    wave.push(i);
-                }
-            }
-
-            // Dependency manifests are cloned per task up front so the
-            // parallel closures borrow only immutable state.
-            let dep_sets: Vec<Vec<(String, Manifest)>> = wave
-                .iter()
-                .map(|&i| self.dep_manifests(&dag.tasks()[i], &done))
-                .collect();
-            let results: Vec<(usize, TaskResult)> = if self.jobs > 1 && wave.len() > 1 {
-                pool::run_tasks_bounded(self.jobs, wave.len(), |k| {
-                    (wave[k], self.run_one(&dag.tasks()[wave[k]], &dep_sets[k]))
-                })
-            } else {
-                wave.iter()
-                    .zip(&dep_sets)
-                    .map(|(&i, deps)| (i, self.run_one(&dag.tasks()[i], deps)))
-                    .collect()
-            };
-            for (i, result) in results {
-                outcomes.push(self.absorb(dag, i, result, &mut done, &mut unrunnable));
-            }
-            for i in exclusive {
-                let deps = self.dep_manifests(&dag.tasks()[i], &done);
-                let result = self.run_one(&dag.tasks()[i], &deps);
-                outcomes.push(self.absorb(dag, i, result, &mut done, &mut unrunnable));
-            }
-        }
+        let (exclusive, shared): (Vec<&TaskSpec>, Vec<&TaskSpec>) = selected
+            .iter()
+            .map(|&i| &dag.tasks()[i])
+            .partition(|t| t.exclusive);
+        let mut outcomes =
+            pool::run_tasks_bounded(self.jobs, shared.len(), |k| self.run_reported(shared[k]));
+        outcomes.extend(exclusive.into_iter().map(|t| self.run_reported(t)));
         RunSummary {
             outcomes,
             elapsed_ms: t0.elapsed().as_millis() as u64,
@@ -225,19 +158,15 @@ impl Executor {
     /// skipped — there is nothing deterministic to check.
     pub fn verify(&self, dag: &Dag, selected: &BTreeSet<usize>) -> RunSummary {
         let t0 = Instant::now();
-        let order: Vec<usize> = dag
-            .topo_order(self.seed)
-            .into_iter()
-            .filter(|i| selected.contains(i))
-            .collect();
         let staging_root = self.root.join(".verify");
-        let mut outcomes = Vec::with_capacity(order.len());
-        for i in order {
-            let spec = &dag.tasks()[i];
-            let outcome = self.verify_one(spec, &staging_root);
-            self.report_line(&outcome);
-            outcomes.push(outcome);
-        }
+        let outcomes = selected
+            .iter()
+            .map(|&i| {
+                let outcome = self.verify_one(&dag.tasks()[i], &staging_root);
+                self.report_line(&outcome);
+                outcome
+            })
+            .collect();
         let _ = std::fs::remove_dir_all(&staging_root);
         RunSummary {
             outcomes,
@@ -265,31 +194,14 @@ impl Executor {
                 elapsed_ms: 0,
             };
         }
-        // Dependencies are read from their *recorded* manifests, so a
-        // verify run checks one node at a time against the tree on disk.
-        let mut deps = Vec::new();
-        for d in &spec.deps {
-            match Manifest::load(&self.root.join(d).join("manifest.json")) {
-                Ok(m) => deps.push((d.clone(), m)),
-                Err(e) => {
-                    return TaskOutcome {
-                        name: spec.name.clone(),
-                        status: TaskStatus::Failed,
-                        detail: format!("dependency `{d}` has no manifest ({e})"),
-                        elapsed_ms: 0,
-                    }
-                }
-            }
-        }
         let t0 = Instant::now();
         let staged = Executor {
             root: staging_root.to_path_buf(),
             jobs: 1,
-            seed: recorded.seed,
             env: self.env.clone(),
             quiet: true,
         };
-        let result = staged.run_one(spec, &deps);
+        let result = staged.run_one(spec);
         let elapsed_ms = t0.elapsed().as_millis() as u64;
         let (status, detail) = match result {
             Err(e) => (TaskStatus::Failed, format!("re-run failed: {e}")),
@@ -306,65 +218,32 @@ impl Executor {
         }
     }
 
-    fn absorb(
-        &self,
-        dag: &Dag,
-        i: usize,
-        result: Result<(Manifest, u64), String>,
-        done: &mut BTreeMap<String, Manifest>,
-        unrunnable: &mut BTreeSet<String>,
-    ) -> TaskOutcome {
-        let name = dag.tasks()[i].name.clone();
-        let outcome = match result {
-            Ok((manifest, elapsed_ms)) => {
-                done.insert(name.clone(), manifest);
-                TaskOutcome {
-                    name,
-                    status: TaskStatus::Ok,
-                    detail: String::new(),
-                    elapsed_ms,
-                }
-            }
-            Err(e) => {
-                unrunnable.insert(name.clone());
-                TaskOutcome {
-                    name,
-                    status: TaskStatus::Failed,
-                    detail: e,
-                    elapsed_ms: 0,
-                }
-            }
+    /// [`Executor::run_one`], reported as an outcome row.
+    fn run_reported(&self, spec: &TaskSpec) -> TaskOutcome {
+        let (status, detail, elapsed_ms) = match self.run_one(spec) {
+            Ok((_, elapsed_ms)) => (TaskStatus::Ok, String::new(), elapsed_ms),
+            Err(e) => (TaskStatus::Failed, e, 0),
+        };
+        let outcome = TaskOutcome {
+            name: spec.name.clone(),
+            status,
+            detail,
+            elapsed_ms,
         };
         self.report_line(&outcome);
         outcome
     }
 
-    fn dep_manifests(
-        &self,
-        spec: &TaskSpec,
-        done: &BTreeMap<String, Manifest>,
-    ) -> Vec<(String, Manifest)> {
-        spec.deps
-            .iter()
-            .filter_map(|d| done.get(d).map(|m| (d.clone(), m.clone())))
-            .collect()
-    }
-
     /// Run one task: empty its artifact directory, invoke the closure
     /// (panics caught), persist artifact files, and write
     /// `manifest.json` + `diagnostics.json`.
-    fn run_one(&self, spec: &TaskSpec, deps: &[(String, Manifest)]) -> TaskResult {
+    fn run_one(&self, spec: &TaskSpec) -> TaskResult {
         let dir = self.root.join(&spec.name);
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-        let ctx = TaskCtx {
-            dir: dir.clone(),
-            seed: self.seed,
-            deps,
-        };
         let t0 = Instant::now();
-        let report = catch_unwind(AssertUnwindSafe(|| (spec.run)(&ctx)))
-            .map_err(|p| format!("panicked: {}", panic_message(&p)))??;
+        let report = catch_unwind(AssertUnwindSafe(|| (spec.run)(&dir)))
+            .map_err(|p| format!("panicked: {}", panic_message(&*p)))??;
         let elapsed_ms = t0.elapsed().as_millis() as u64;
 
         let mut outputs = Vec::with_capacity(report.files.len());
@@ -389,7 +268,6 @@ impl Executor {
         let config_text = serde_json::to_string(&report.config).expect("config renders");
         let manifest = Manifest {
             task: spec.name.clone(),
-            seed: self.seed,
             config: report.config.clone(),
             config_digest: canonical_digest("config.json", config_text.as_bytes(), &[]),
             plan_digests: report.plan_digests.clone(),
@@ -397,10 +275,6 @@ impl Executor {
             rustc: self.env.rustc.clone(),
             janus_version: self.env.janus_version.clone(),
             masked_keys: spec.masked_keys.clone(),
-            inputs: deps
-                .iter()
-                .map(|(name, m)| (name.clone(), m.output_digest()))
-                .collect(),
             outputs,
         };
         let diagnostics = Diagnostics {

@@ -1,18 +1,17 @@
-//! `janus-lab`: the experiment DAG runner behind `repro lab`.
+//! `janus-lab`: the experiment runner behind `repro`.
 //!
-//! The paper's evaluation is a matrix of interdependent artifacts
-//! (tables, figures, fault/crash/trace ledgers, perf baselines). This
-//! crate models that matrix as a dependency graph of [`TaskSpec`] nodes
-//! — name, dependency edges, resource hints, and a run closure that
-//! produces artifact files — validated up front ([`Dag`]) and executed
-//! by an [`Executor`] that schedules independent nodes in parallel on
-//! the `janus-tensor` thread pool.
+//! The paper's evaluation is a list of artifacts: tables, figures, and
+//! fault / crash / migration / serving / trace ledgers. This crate
+//! models each as a [`TaskSpec`] — a name, namespace tags, resource
+//! hints, and a run closure that produces artifact files — validates the
+//! list up front ([`Dag`]), and runs a selection of it with an
+//! [`Executor`].
 //!
-//! Every node run emits, next to its artifact files:
+//! Every task run emits, next to its artifact files:
 //!
 //! - `manifest.json` — everything needed to reproduce the artifact:
-//!   config digest, seed, `IterationPlan` digests, git-describe, tool
-//!   versions, input-artifact hashes, and a canonical content digest per
+//!   the task's config and its digest, `IterationPlan` digests,
+//!   git-describe, tool versions, and a canonical content digest per
 //!   output file.
 //! - `diagnostics.json` — how the run went: elapsed wall time, the
 //!   `janus-obs` counter snapshot, thread configuration.
@@ -22,25 +21,23 @@
 //! whose bytes embed wall-clock measurements are either marked
 //! *volatile* (recorded but never verified) or hashed through a masked
 //! canonical form that nulls the timing-only JSON fields — which is what
-//! lets [`Executor::verify`] re-run a node from its manifest and diff
+//! lets [`Executor::verify`] re-run a task from its manifest and diff
 //! the output bitwise, timing fields excluded.
 //!
-//! Scheduling is wave-based and deterministic per seed: ready nodes are
-//! ordered by a seeded hash, non-exclusive nodes of a wave run in
-//! parallel (bounded by `--jobs`), and nodes flagged
-//! [`exclusive`](TaskSpec::exclusive) run alone so their timings (bench
-//! nodes) and process-global state (forced SIMD, the global recorder)
-//! stay clean. Tasks running inside pool workers inherit the pool's
-//! nested-region guard, so their internal kernels serialize instead of
-//! oversubscribing — bitwise-identically, by the pool's disjoint-work
-//! invariant, which is why `--jobs 1` and `--jobs 4` produce identical
-//! manifests.
+//! Tasks are independent. The executor runs the non-exclusive ones of a
+//! selection in parallel (bounded by `--jobs`), then each task flagged
+//! [`exclusive`](TaskSpec::exclusive) alone, so process-global state
+//! (the global span recorder) and real-mesh timings stay clean. Tasks
+//! running inside pool workers inherit the pool's nested-region guard,
+//! so their internal kernels serialize instead of oversubscribing —
+//! bitwise-identically, by the pool's disjoint-work invariant, which is
+//! why `--jobs 1` and `--jobs 4` produce identical manifests.
 
 pub mod dag;
 pub mod exec;
 pub mod manifest;
 
-pub use dag::{Dag, DagError, OutFile, TaskCtx, TaskReport, TaskSpec};
+pub use dag::{Dag, DagError, OutFile, TaskReport, TaskSpec};
 pub use exec::{Executor, LabEnv, RunSummary, TaskOutcome, TaskStatus};
 pub use manifest::{canonical_digest, canonical_masked_json, Diagnostics, FileEntry, Manifest};
 

@@ -1,7 +1,7 @@
 //! Per-artifact manifests, diagnostics, and canonical content hashing.
 //!
-//! A manifest must be *deterministic*: two runs of the same task at the
-//! same seed on the same tree produce byte-identical manifests, which is
+//! A manifest must be *deterministic*: two runs of the same task on the
+//! same tree produce byte-identical manifests, which is
 //! what `repro lab --verify` checks. Anything wall-clock-dependent
 //! (elapsed time, counter snapshots, thread configuration) therefore
 //! lives in the sibling `diagnostics.json`, never in the manifest.
@@ -32,8 +32,6 @@ pub struct FileEntry {
 pub struct Manifest {
     /// Task name.
     pub task: String,
-    /// Lab seed the task ran under.
-    pub seed: u64,
     /// The task's configuration, embedded verbatim.
     pub config: Value,
     /// Canonical digest of `config` (hex).
@@ -50,8 +48,6 @@ pub struct Manifest {
     /// JSON keys nulled before hashing this task's artifacts (the
     /// timing-only fields excluded from bitwise verification).
     pub masked_keys: Vec<String>,
-    /// `(dependency task, combined digest of its non-volatile outputs)`.
-    pub inputs: Vec<(String, String)>,
     /// Output files, in production order.
     pub outputs: Vec<FileEntry>,
 }
@@ -69,21 +65,6 @@ impl Manifest {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         serde_json::from_str(&text).map_err(|e| format!("parse {}: {e}", path.display()))
-    }
-
-    /// Combined digest over this manifest's non-volatile outputs — the
-    /// value downstream tasks record in their `inputs`.
-    pub fn output_digest(&self) -> String {
-        let mut h = Fnv64::new();
-        for f in &self.outputs {
-            if !f.volatile {
-                h.bytes(f.file.as_bytes());
-                h.byte(0);
-                h.bytes(f.digest.as_bytes());
-                h.byte(0);
-            }
-        }
-        format!("{:016x}", h.finish())
     }
 
     /// The non-volatile output entries (what verification compares).
@@ -200,7 +181,6 @@ mod tests {
     fn manifest_round_trips_through_json() {
         let m = Manifest {
             task: "fig3".into(),
-            seed: 7,
             config: serde_json::from_str(r#"{"iters": 4}"#).unwrap(),
             config_digest: "00000000deadbeef".into(),
             plan_digests: vec!["0123456789abcdef".into()],
@@ -208,7 +188,6 @@ mod tests {
             rustc: "rustc 1.x".into(),
             janus_version: "0.1.0".into(),
             masked_keys: vec!["elapsed_ms".into()],
-            inputs: vec![("table1".into(), "0000000000000001".into())],
             outputs: vec![FileEntry {
                 file: "fig3.json".into(),
                 raw_bytes: 42,
@@ -219,37 +198,5 @@ mod tests {
         let text = m.to_json();
         let back: Manifest = serde_json::from_str(&text).unwrap();
         assert_eq!(back, m);
-        assert_eq!(back.output_digest(), m.output_digest());
-    }
-
-    #[test]
-    fn output_digest_ignores_volatile_files() {
-        let nonvol = FileEntry {
-            file: "a.json".into(),
-            raw_bytes: 1,
-            digest: "0000000000000001".into(),
-            volatile: false,
-        };
-        let mut m = Manifest {
-            task: "t".into(),
-            seed: 0,
-            config: Value::Null,
-            config_digest: String::new(),
-            plan_digests: vec![],
-            git_describe: String::new(),
-            rustc: String::new(),
-            janus_version: String::new(),
-            masked_keys: vec![],
-            inputs: vec![],
-            outputs: vec![nonvol],
-        };
-        let base = m.output_digest();
-        m.outputs.push(FileEntry {
-            file: "noise.json".into(),
-            raw_bytes: 9,
-            digest: "00000000000000ff".into(),
-            volatile: true,
-        });
-        assert_eq!(m.output_digest(), base);
     }
 }

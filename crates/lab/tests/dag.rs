@@ -1,17 +1,17 @@
-//! DAG-core and executor tests: validation errors, deterministic
-//! scheduling, and the manifest/verify contract.
+//! Task-list and executor tests: validation errors, scheduling, and the
+//! manifest/verify contract.
 
 use janus_lab::{Dag, DagError, Executor, LabEnv, OutFile, TaskReport, TaskSpec, TaskStatus};
 use proptest::prelude::*;
 use serde_json::Value;
-use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A no-op task with the given name.
 fn noop(name: &str) -> TaskSpec {
-    TaskSpec::new(name, |_ctx| Ok(TaskReport::default()))
+    TaskSpec::new(name, |_dir| Ok(TaskReport::default()))
 }
 
 /// A fresh scratch root under the system temp dir, emptied first.
@@ -19,47 +19,6 @@ fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("janus-lab-test-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-#[test]
-fn cycle_is_rejected_and_named() {
-    let tasks = vec![
-        noop("a").dep("c"),
-        noop("b").dep("a"),
-        noop("c").dep("b"),
-        noop("free"),
-    ];
-    match Dag::new(tasks) {
-        Err(DagError::Cycle(stuck)) => {
-            for name in ["a", "b", "c"] {
-                assert!(
-                    stuck.contains(&name.to_string()),
-                    "cycle must name `{name}`"
-                );
-            }
-            assert!(!stuck.contains(&"free".to_string()));
-        }
-        other => panic!("expected Cycle, got {:?}", other.err()),
-    }
-}
-
-#[test]
-fn self_edge_is_a_cycle() {
-    match Dag::new(vec![noop("a").dep("a")]) {
-        Err(DagError::Cycle(stuck)) => assert_eq!(stuck, vec!["a".to_string()]),
-        other => panic!("expected Cycle, got {:?}", other.err()),
-    }
-}
-
-#[test]
-fn missing_dependency_is_rejected() {
-    match Dag::new(vec![noop("a").dep("ghost")]) {
-        Err(DagError::MissingDep { task, dep }) => {
-            assert_eq!(task, "a");
-            assert_eq!(dep, "ghost");
-        }
-        other => panic!("expected MissingDep, got {:?}", other.err()),
-    }
 }
 
 #[test]
@@ -72,7 +31,7 @@ fn duplicate_name_is_rejected() {
 
 #[test]
 fn unsafe_directory_names_are_rejected() {
-    for bad in ["", "a/b", "a b", "../up"] {
+    for bad in ["", "a/b", "a b", "../up", ".", "..", ".verify"] {
         assert!(
             matches!(Dag::new(vec![noop(bad)]), Err(DagError::BadName(_))),
             "`{bad}` must be rejected"
@@ -89,94 +48,21 @@ fn unmatched_glob_errors() {
     );
 }
 
-/// A diamond plus independent leaves — enough simultaneously-ready tasks
-/// that seed-keyed tie-breaking has room to reorder.
-fn wide_dag() -> Dag {
-    Dag::new(vec![
-        noop("root"),
-        noop("left").dep("root"),
-        noop("right").dep("root"),
-        noop("join").dep("left").dep("right"),
-        noop("leaf0"),
-        noop("leaf1"),
-        noop("leaf2"),
-        noop("leaf3"),
-    ])
-    .unwrap()
-}
-
-#[test]
-fn topo_order_is_deterministic_per_seed_and_respects_deps() {
-    let dag = wide_dag();
-    let mut orders = BTreeSet::new();
-    for seed in 0..16u64 {
-        let order = dag.topo_order(seed);
-        assert_eq!(order, dag.topo_order(seed), "same seed, same order");
-        assert_eq!(order.len(), dag.tasks().len());
-        let pos: Vec<usize> = {
-            let mut pos = vec![0; order.len()];
-            for (p, &i) in order.iter().enumerate() {
-                pos[i] = p;
-            }
-            pos
-        };
-        for (i, t) in dag.tasks().iter().enumerate() {
-            for d in &t.deps {
-                let j = dag.find(d).unwrap();
-                assert!(
-                    pos[j] < pos[i],
-                    "seed {seed}: `{d}` must precede `{}`",
-                    t.name
-                );
-            }
-        }
-        orders.insert(order);
-    }
-    assert!(
-        orders.len() > 1,
-        "16 seeds over 6 unordered tasks should explore more than one interleaving"
-    );
-}
-
-/// A small graph whose artifacts are pure functions of the lab seed:
-/// a diamond where the join hashes its dependencies' digests.
-fn seeded_dag() -> Dag {
+/// Independent tasks whose artifacts are pure functions of `input`.
+fn emitting_dag(input: u64) -> Dag {
     let emit = |name: &'static str| {
-        TaskSpec::new(name, move |ctx| {
+        TaskSpec::new(name, move |_dir| {
             Ok(TaskReport {
                 files: vec![OutFile::new(
                     format!("{name}.json"),
-                    format!("{{\"seed\": {}}}\n", ctx.seed).into_bytes(),
+                    format!("{{\"input\": {input}}}\n").into_bytes(),
                 )],
                 config: Value::Str(name.to_string()),
-                plan_digests: vec![format!("{:016x}", ctx.seed)],
+                plan_digests: vec![format!("{input:016x}")],
             })
         })
     };
-    Dag::new(vec![
-        emit("a"),
-        emit("b"),
-        emit("c"),
-        TaskSpec::new("join", |ctx| {
-            let inputs: Vec<String> = ctx
-                .deps
-                .iter()
-                .map(|(name, m)| format!("{name}:{}", m.output_digest()))
-                .collect();
-            Ok(TaskReport {
-                files: vec![OutFile::new(
-                    "join.json",
-                    format!("{{\"inputs\": {:?}}}\n", inputs).into_bytes(),
-                )],
-                config: Value::Str("join".to_string()),
-                plan_digests: Vec::new(),
-            })
-        })
-        .dep("a")
-        .dep("b")
-        .dep("c"),
-    ])
-    .unwrap()
+    Dag::new(vec![emit("a"), emit("b"), emit("c"), emit("d")]).unwrap()
 }
 
 fn manifest_bytes(root: &std::path::Path, task: &str) -> Vec<u8> {
@@ -187,22 +73,22 @@ fn manifest_bytes(root: &std::path::Path, task: &str) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A parallel run and a serial run of the same graph at the same
-    /// seed produce byte-identical manifests: scheduling is invisible
-    /// in every recorded (non-diagnostic) byte.
+    /// A parallel run and a serial run of the same tasks produce
+    /// byte-identical manifests: scheduling is invisible in every
+    /// recorded (non-diagnostic) byte.
     #[test]
-    fn parallel_and_serial_runs_emit_identical_manifests(seed in 0u64..1_000_000) {
-        let dag = seeded_dag();
+    fn parallel_and_serial_runs_emit_identical_manifests(input in 0u64..1_000_000) {
+        let dag = emitting_dag(input);
         let selected = dag.all();
-        let serial_root = scratch(&format!("serial-{seed}"));
-        let parallel_root = scratch(&format!("parallel-{seed}"));
+        let serial_root = scratch(&format!("serial-{input}"));
+        let parallel_root = scratch(&format!("parallel-{input}"));
 
-        let serial = Executor::new(&serial_root, 1, seed, LabEnv::unknown()).quiet();
+        let serial = Executor::new(&serial_root, 1, LabEnv::unknown()).quiet();
         prop_assert!(serial.run(&dag, &selected).ok());
-        let parallel = Executor::new(&parallel_root, 4, seed, LabEnv::unknown()).quiet();
+        let parallel = Executor::new(&parallel_root, 4, LabEnv::unknown()).quiet();
         prop_assert!(parallel.run(&dag, &selected).ok());
 
-        for task in ["a", "b", "c", "join"] {
+        for task in ["a", "b", "c", "d"] {
             prop_assert_eq!(
                 manifest_bytes(&serial_root, task),
                 manifest_bytes(&parallel_root, task),
@@ -218,7 +104,7 @@ proptest! {
 /// (`noise`) next to a stable payload (`value`).
 fn noisy_dag(masked: bool) -> Dag {
     let runs = Arc::new(AtomicU64::new(0));
-    let mut spec = TaskSpec::new("noisy", move |_ctx| {
+    let mut spec = TaskSpec::new("noisy", move |_dir| {
         let n = runs.fetch_add(1, Ordering::Relaxed);
         Ok(TaskReport {
             files: vec![OutFile::new(
@@ -241,7 +127,7 @@ fn verify_masks_declared_keys_and_catches_the_rest() {
         let dag = noisy_dag(masked);
         let root = scratch(if masked { "masked" } else { "unmasked" });
         let selected = dag.all();
-        let exec = Executor::new(&root, 1, 0, LabEnv::unknown()).quiet();
+        let exec = Executor::new(&root, 1, LabEnv::unknown()).quiet();
         assert!(exec.run(&dag, &selected).ok());
         let summary = exec.verify(&dag, &selected);
         assert_eq!(
@@ -255,7 +141,7 @@ fn verify_masks_declared_keys_and_catches_the_rest() {
 
 #[test]
 fn verify_skips_tasks_with_only_volatile_outputs() {
-    let dag = Dag::new(vec![TaskSpec::new("timing", |_ctx| {
+    let dag = Dag::new(vec![TaskSpec::new("timing", |_dir| {
         Ok(TaskReport {
             files: vec![OutFile::volatile("timing.json", b"{\"ms\": 1}\n".to_vec())],
             config: Value::Str("timing".to_string()),
@@ -265,7 +151,7 @@ fn verify_skips_tasks_with_only_volatile_outputs() {
     .unwrap();
     let root = scratch("volatile");
     let selected = dag.all();
-    let exec = Executor::new(&root, 1, 0, LabEnv::unknown()).quiet();
+    let exec = Executor::new(&root, 1, LabEnv::unknown()).quiet();
     assert!(exec.run(&dag, &selected).ok());
     let summary = exec.verify(&dag, &selected);
     assert_eq!(summary.outcomes[0].status, TaskStatus::Skipped);
@@ -273,17 +159,77 @@ fn verify_skips_tasks_with_only_volatile_outputs() {
 }
 
 #[test]
-fn failed_dependency_skips_dependents() {
+fn failed_task_is_reported_and_the_others_still_run() {
     let dag = Dag::new(vec![
-        TaskSpec::new("boom", |_ctx| Err("deliberate".to_string())),
-        noop("after").dep("boom"),
+        noop("before"),
+        TaskSpec::new("boom", |_dir| Err("deliberate".to_string())),
+        TaskSpec::new("panics", |_dir| panic!("deliberate")),
+        noop("after"),
+        noop("alone").exclusive(),
     ])
     .unwrap();
-    let root = scratch("skip");
-    let exec = Executor::new(&root, 1, 0, LabEnv::unknown()).quiet();
+    let root = scratch("failed");
+    let exec = Executor::new(&root, 2, LabEnv::unknown()).quiet();
     let summary = exec.run(&dag, &dag.all());
     assert!(!summary.ok());
-    assert_eq!(summary.count(TaskStatus::Failed), 1);
-    assert_eq!(summary.count(TaskStatus::Skipped), 1);
+    let status = |name: &str| {
+        let o = summary.outcomes.iter().find(|o| o.name == name).unwrap();
+        (o.status.clone(), o.detail.clone())
+    };
+    assert_eq!(status("boom"), (TaskStatus::Failed, "deliberate".into()));
+    assert_eq!(
+        status("panics"),
+        (TaskStatus::Failed, "panicked: deliberate".into())
+    );
+    assert_eq!(summary.count(TaskStatus::Ok), 3);
+    for name in ["before", "after", "alone"] {
+        assert!(root.join(name).join("manifest.json").exists(), "{name} ran");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A task that counts itself in flight for a moment, and records whether
+/// it ever shared the executor with another task while `exclusive`.
+fn counted(
+    name: &str,
+    exclusive: bool,
+    in_flight: &Arc<AtomicUsize>,
+    overlapped: &Arc<AtomicBool>,
+) -> TaskSpec {
+    let (in_flight, overlapped) = (in_flight.clone(), overlapped.clone());
+    let spec = TaskSpec::new(name, move |_dir| {
+        let others = in_flight.fetch_add(1, Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(20));
+        let others_at_end = in_flight.fetch_sub(1, Ordering::SeqCst) - 1;
+        if exclusive && (others > 0 || others_at_end > 0) {
+            overlapped.store(true, Ordering::SeqCst);
+        }
+        Ok(TaskReport::default())
+    });
+    if exclusive {
+        spec.exclusive()
+    } else {
+        spec
+    }
+}
+
+#[test]
+fn exclusive_tasks_never_overlap_another_task() {
+    let in_flight = Arc::new(AtomicUsize::new(0));
+    let overlapped = Arc::new(AtomicBool::new(false));
+    // Exclusive tasks interleave with shared ones in registration order.
+    let tasks = (0..12)
+        .map(|i| counted(&format!("t{i}"), i % 3 == 1, &in_flight, &overlapped))
+        .collect();
+    let dag = Dag::new(tasks).unwrap();
+    let root = scratch("exclusive");
+    let exec = Executor::new(&root, 4, LabEnv::unknown()).quiet();
+    let summary = exec.run(&dag, &dag.all());
+    assert!(summary.ok());
+    assert_eq!(summary.count(TaskStatus::Ok), 12);
+    assert!(
+        !overlapped.load(Ordering::SeqCst),
+        "an exclusive task ran while another task was in flight"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -76,7 +76,7 @@ where
 
 /// [`run_tasks`] with an explicit worker ceiling: at most
 /// `min(limit, threads(), n)` workers run concurrently. Callers that
-/// schedule coarse-grained jobs (the lab's experiment DAG) use the limit
+/// schedule coarse-grained jobs (the lab's experiment tasks) use the limit
 /// to honour a `--jobs N` budget without touching the process-wide
 /// thread configuration.
 ///

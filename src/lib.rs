@@ -16,7 +16,7 @@
 //!   simulation/execution engines.
 //! * [`obs`] — span tracing, metrics, and Chrome-trace/Prometheus export
 //!   shared by the execution engines, transports, and simulator.
-//! * [`lab`] — the experiment DAG runner: manifests, canonical digests,
+//! * [`lab`] — the experiment runner: manifests, canonical digests,
 //!   and bitwise verification of artifacts.
 //! * [`serve`] — the inference serving plane: continuous batching,
 //!   disaggregated attention/expert workers, gate-driven replica
