@@ -12,6 +12,10 @@
 //!   while staying responsive to pull requests through a bounded-backoff
 //!   service pass (asynchronous communication, §5.1.1);
 //! * internal experts are pulled directly from their local owner;
+//! * a worker's internal and designated external pulls for a block go out
+//!   as one pipeline in the staggered owner order of Algorithm 1, at most
+//!   the plan's `credits` outstanding at once ([`CreditBuffer`]); payloads
+//!   are claimed as they land while the worker keeps serving peers;
 //! * backward gradients of external experts are pre-reduced by a
 //!   designated local aggregator through [`GradAccumulator`] before one
 //!   message per (machine, expert) returns to the owner; internal
@@ -31,9 +35,11 @@ use crate::exec::model::{CommCounters, ExecConfig, GradInbox, PullRetryPolicy, W
 use crate::exec::obs;
 use crate::exec::weights::{expert_from_bytes, expert_to_bytes, grads_from_bytes, grads_to_bytes};
 use crate::placement::Placement;
+use crate::queue::credit::CreditGuard;
 use crate::queue::{CacheManager, CreditBuffer, GradAccumulator};
 use janus_comm::{Comm, CommError, Message, Transport};
 use janus_moe::expert::{ExpertFfn, ExpertGrads};
+use janus_obs::SpanGuard;
 use janus_tensor::{pool, Matrix};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -253,62 +259,177 @@ impl<'a, T: Transport> DcRuntime<'a, T> {
         }
     }
 
-    /// Fetch one expert from its (remote) owner, serving the protocol
-    /// while waiting. Each attempt carries a fresh nonce and a deadline:
-    /// a pull that misses its deadline is re-requested (a stale payload
-    /// from the earlier attempt can never satisfy the new one), and when
-    /// the attempt budget runs out the iteration fails loudly with a
-    /// diagnostic naming the block, expert, and peer instead of hanging.
-    fn pull_expert(&self, b: usize, e: usize) -> Result<ExpertFfn, CommError> {
-        let span = obs::span(self.rank, "comm", || {
-            (format!("pull/b{b}/e{e}"), format!("b{b}"))
-        });
-        let result = self.pull_expert_inner(b, e);
-        if result.is_ok() {
-            obs::end_into(span, "janus_pull_latency_us");
-        }
-        result
-    }
-
-    fn pull_expert_inner(&self, b: usize, e: usize) -> Result<ExpertFfn, CommError> {
-        let owner = self.placement.owner_of(b, e);
-        debug_assert_ne!(owner, self.rank);
-        let start = Instant::now();
-        let attempts = self.retry.max_attempts.max(1);
-        for attempt in 1..=attempts {
-            let nonce = self.counters.next_nonce();
-            self.comm.send(
-                owner,
-                Message::PullRequest {
-                    block: b as u32,
-                    expert: e as u32,
-                    nonce,
-                },
-            )?;
-            let got = self.comm.recv_match_or_consume_deadline(
-                |_, m| {
-                    matches!(m, Message::ExpertPayload { block, expert, nonce: n, .. }
-                        if *block == b as u32 && *expert == e as u32 && *n == nonce)
-                },
-                |from, m| self.service(from, m),
-                Instant::now() + self.retry.deadline,
-            )?;
-            match got {
-                Some((_, Message::ExpertPayload { data, .. })) => return expert_from_bytes(data),
-                Some(_) => unreachable!("predicate admits only the payload"),
-                None if attempt < attempts => self.counters.record_pull_retry(),
-                None => {}
+    /// This rank's pulls for block `b`, in issue order: Algorithm 1's
+    /// staggered owner order generalised to the live placement — owners
+    /// `rank+1, rank+2, …` (mod world), each owner's experts ascending —
+    /// so no owner is everyone's first stop (Figure 7a's pile-on).
+    /// Internal experts are pulled from their local owner; an external
+    /// expert only when this rank is its machine's designated fetcher
+    /// (siblings read it from the shared cache). Yields
+    /// `(expert, owner, external)`.
+    fn block_pulls(&self, b: usize) -> Vec<(usize, usize, bool)> {
+        let world = self.cfg.world();
+        let gpus = self.cfg.gpus_per_machine;
+        let mut pulls = Vec::new();
+        for owner in (1..world).map(|d| (self.rank + d) % world) {
+            if !self.placement.is_live(owner) {
+                continue;
+            }
+            let external = self.cfg.machine_of(owner) != self.machine;
+            for e in self.placement.owned_in(b, owner) {
+                if !external || self.placement.designated_local(self.machine, e, gpus) == self.rank
+                {
+                    pulls.push((e, owner, external));
+                }
             }
         }
-        self.counters.record_pull_timeout();
-        Err(CommError::Timeout {
-            context: format!(
-                "data-centric pull of expert {e} (block {b}) from peer rank {owner} by rank {}",
-                self.rank
-            ),
-            attempts,
-            elapsed: start.elapsed(),
+        pulls
+    }
+
+    /// Send one pull attempt for `(b, e)` to `owner` under a fresh nonce.
+    fn request(&self, b: usize, e: usize, owner: usize) -> Result<u32, CommError> {
+        let nonce = self.counters.next_nonce();
+        self.comm.send(
+            owner,
+            Message::PullRequest {
+                block: b as u32,
+                expert: e as u32,
+                nonce,
+            },
+        )?;
+        Ok(nonce)
+    }
+
+    /// Issue one pull: take its credit, open its spans, send attempt 1.
+    fn issue<'c>(
+        &self,
+        b: usize,
+        (e, owner, external): (usize, usize, bool),
+        credit: CreditGuard<'c>,
+    ) -> Result<InFlight<'c>, CommError> {
+        let rank = self.rank;
+        // The machine-level fetch of a designated external expert (sim:
+        // `prefetch`) wraps the wire pull itself.
+        let prefetch_span = if external {
+            obs::span(rank, "comm", || {
+                (format!("prefetch/b{b}/e{e}"), format!("b{b}"))
+            })
+        } else {
+            None
+        };
+        let pull_span = obs::span(rank, "comm", || {
+            (format!("pull/b{b}/e{e}"), format!("b{b}"))
+        });
+        let started = Instant::now();
+        Ok(InFlight {
+            e,
+            owner,
+            external,
+            nonce: self.request(b, e, owner)?,
+            attempt: 1,
+            started,
+            deadline: started + self.retry.deadline,
+            _credit: credit,
+            prefetch_span,
+            pull_span,
         })
+    }
+
+    /// Re-request every in-flight pull whose attempt missed its deadline,
+    /// under a fresh nonce (a stale payload from the earlier attempt can
+    /// never satisfy the new one). A pull whose attempt budget is spent
+    /// fails the iteration with a diagnostic naming the expert, block,
+    /// peer and requesting rank instead of hanging.
+    fn reissue_overdue(&self, b: usize, inflight: &mut [InFlight<'_>]) -> Result<(), CommError> {
+        let now = Instant::now();
+        let attempts = self.retry.max_attempts.max(1);
+        for p in inflight.iter_mut().filter(|p| p.deadline <= now) {
+            if p.attempt >= attempts {
+                self.counters.record_pull_timeout();
+                return Err(CommError::Timeout {
+                    context: format!(
+                        "data-centric pull of expert {} (block {b}) from peer rank {} by rank {}",
+                        p.e, p.owner, self.rank
+                    ),
+                    attempts,
+                    elapsed: p.started.elapsed(),
+                });
+            }
+            self.counters.record_pull_retry();
+            p.attempt += 1;
+            p.nonce = self.request(b, p.e, p.owner)?;
+            p.deadline = now + self.retry.deadline;
+        }
+        Ok(())
+    }
+
+    /// Pull every expert [`DcRuntime::block_pulls`] names for block `b`
+    /// as one pipeline (§5.1.1): requests go out in issue order while a
+    /// credit is free, so at most `credits` are outstanding at once;
+    /// payloads are claimed by (block, expert, nonce) in whatever order
+    /// they land, and peers are served on this thread meanwhile. A landed
+    /// payload returns its credit, which lets the next request out.
+    /// Designated externals are inserted into the machine's cache the
+    /// moment they land; internal experts are returned, indexed by
+    /// expert.
+    fn pull_block(
+        &self,
+        b: usize,
+        experts: usize,
+        credits: u32,
+    ) -> Result<Vec<Option<ExpertFfn>>, CommError> {
+        let buffer = CreditBuffer::new(credits.max(1));
+        let mut queue = self.block_pulls(b).into_iter().peekable();
+        let mut inflight: Vec<InFlight<'_>> = Vec::new();
+        let mut landed: Vec<Option<ExpertFfn>> = (0..experts).map(|_| None).collect();
+        // Open while the head of the queue waits for a credit.
+        let mut credit_span = None;
+        loop {
+            while let Some(&next) = queue.peek() {
+                let Some(credit) = buffer.try_acquire(1) else {
+                    if credit_span.is_none() {
+                        credit_span = obs::span(self.rank, "comm", || {
+                            (format!("credit_wait/b{b}/e{}", next.0), format!("b{b}"))
+                        });
+                    }
+                    break;
+                };
+                obs::end_into(credit_span.take(), "janus_credit_wait_us");
+                inflight.push(self.issue(b, next, credit)?);
+                queue.next();
+            }
+            let Some(deadline) = inflight.iter().map(|p| p.deadline).min() else {
+                return Ok(landed);
+            };
+            let got = self.comm.recv_match_or_consume_deadline(
+                |_, m| {
+                    matches!(m, Message::ExpertPayload { block, expert, nonce, .. }
+                        if *block == b as u32
+                            && inflight.iter().any(|p| p.e == *expert as usize && p.nonce == *nonce))
+                },
+                |from, m| self.service(from, m),
+                deadline,
+            )?;
+            match got {
+                Some((_, Message::ExpertPayload { expert, data, .. })) => {
+                    let i = inflight
+                        .iter()
+                        .position(|p| p.e == expert as usize)
+                        .expect("predicate admits only in-flight pulls");
+                    let p = inflight.swap_remove(i);
+                    let weights = expert_from_bytes(data)?;
+                    obs::end_into(p.pull_span, "janus_pull_latency_us");
+                    if p.external {
+                        self.shared.cache.insert((b, p.e), weights);
+                        obs::end_into(p.prefetch_span, "janus_prefetch_us");
+                    } else {
+                        landed[p.e] = Some(weights);
+                    }
+                }
+                Some(_) => unreachable!("predicate admits only the payload"),
+                None => self.reissue_overdue(b, &mut inflight)?,
+            }
+        }
     }
 
     /// Wait for a cache entry inserted by a sibling's fetch. Event-driven:
@@ -398,13 +519,33 @@ pub(crate) struct BlockTapeDc {
 /// An expert's fetched/local weights plus its `(token, weight)` slots.
 type ExpertAssignment = (Arc<ExpertFfn>, Vec<(usize, f32)>);
 
-/// Data-centric forward for one block: hierarchical fetch, per-expert
-/// compute over this worker's own tokens, combine on the residual stream.
+/// One pull of a block's pipeline, waiting for its payload.
+struct InFlight<'c> {
+    e: usize,
+    owner: usize,
+    /// A designated external fetch, which lands in the machine's cache.
+    external: bool,
+    /// Nonce of the current attempt; only its payload is claimed.
+    nonce: u32,
+    attempt: u32,
+    started: Instant,
+    deadline: Instant,
+    /// Returned when the payload lands: bounds the requests outstanding
+    /// at once to the plan's credit budget.
+    _credit: CreditGuard<'c>,
+    prefetch_span: Option<SpanGuard<'static>>,
+    pull_span: Option<SpanGuard<'static>>,
+}
+
+/// Data-centric forward for one block: hierarchical fetch as one pull
+/// pipeline of at most `credits` outstanding requests, per-expert compute
+/// over this worker's own tokens, combine on the residual stream.
 pub(crate) fn forward_block<T: Transport>(
     rt: &DcRuntime<'_, T>,
     state: &WorkerState,
     b: usize,
     x: &Matrix,
+    credits: u32,
 ) -> Result<(Matrix, BlockTapeDc), CommError> {
     let cfg = &state.cfg;
     let rank = state.rank;
@@ -413,53 +554,21 @@ pub(crate) fn forward_block<T: Transport>(
     let experts = cfg.experts_in(b);
     let routing = state.gates[b].route(x);
 
-    // Fetch this worker's designated share of the machine's external
-    // experts into the shared cache (the Inter-Node Scheduler's
-    // hierarchical fetch).
-    for e in 0..experts {
-        let owner = placement.owner_of(b, e);
-        if cfg.machine_of(owner) != machine
-            && placement.designated_local(machine, e, cfg.gpus_per_machine) == rank
-        {
-            let span = obs::span(rank, "comm", || {
-                (format!("prefetch/b{b}/e{e}"), format!("b{b}"))
-            });
-            let weights = rt.pull_expert(b, e)?;
-            rt.shared.cache.insert((b, e), weights);
-            obs::end_into(span, "janus_prefetch_us");
-        }
-    }
-
-    // Credit-based buffer (§5.1.1): every non-resident expert acquisition
-    // takes one credit, bounding the in-flight fetched experts the block
-    // holds at once. Credits are released only after the parallel compute
-    // consumed the weights; the time spent waiting on a credit is what
-    // the recorder surfaces as `janus_credit_wait_us`.
-    let non_own = (0..experts)
-        .filter(|&e| placement.owner_of(b, e) != rank)
-        .count();
-    let credits = CreditBuffer::new(non_own.max(1) as u32);
-    let mut credit_guards = Vec::with_capacity(non_own);
-
-    // Acquire every expert's weights sequentially — acquisition talks
-    // the pull protocol, which must stay on this worker's thread.
+    // Pull this worker's internal experts and its designated share of
+    // the machine's external experts (the Inter-Node Scheduler's
+    // hierarchical fetch, landing in the shared cache), then assemble
+    // every expert's weights: own ones resident, internal ones pulled,
+    // external ones from the cache a sibling (or this worker) filled.
+    let pulled = rt.pull_block(b, experts, credits)?;
     let mut per_expert = Vec::with_capacity(experts);
-    for e in 0..experts {
+    for (e, pulled) in pulled.into_iter().enumerate() {
         let owner = placement.owner_of(b, e);
         let weights: Arc<ExpertFfn> = if owner == rank {
             Arc::new(state.owned(b, e).clone())
+        } else if cfg.machine_of(owner) == machine {
+            Arc::new(pulled.expect("every internal expert was pulled"))
         } else {
-            let span = obs::span(rank, "comm", || {
-                (format!("credit_wait/b{b}/e{e}"), format!("b{b}"))
-            });
-            credit_guards.push(credits.acquire(1));
-            obs::end_into(span, "janus_credit_wait_us");
-            if cfg.machine_of(owner) == machine {
-                // Internal expert: pull directly from the local owner.
-                Arc::new(rt.pull_expert(b, e)?)
-            } else {
-                rt.wait_cached(b, e)?
-            }
+            rt.wait_cached(b, e)?
         };
         per_expert.push((weights, routing.tokens_for(e)));
     }
@@ -480,7 +589,6 @@ pub(crate) fn forward_block<T: Transport>(
             weights.forward_scratch(&mut s);
         });
     }
-    drop(credit_guards);
 
     // Combine in expert-ascending order — the same accumulation order
     // as the expert-centric combine, and independent of how the
@@ -710,6 +818,9 @@ mod tests {
     use crate::exec::trainer::{TrainRun, Trainer};
     use crate::paradigm::ParadigmPolicy;
     use crate::plan::PlanOpts;
+    use janus_comm::local::local_mesh;
+    use std::sync::atomic::{AtomicI64, Ordering};
+    use std::sync::mpsc;
 
     /// Train `iters` iterations with every block forced data-centric.
     fn run_dc(cfg: &ExecConfig, iters: u64) -> TrainRun {
@@ -746,6 +857,109 @@ mod tests {
                 "siblings must hit the cache, got {}",
                 c.cache_hits
             );
+        }
+    }
+
+    /// Counts this rank's outstanding pulls: `PullRequest`s sent minus
+    /// `ExpertPayload`s received, keeping the peak.
+    struct PullCounter<T> {
+        inner: T,
+        outstanding: AtomicI64,
+        peak: Arc<AtomicI64>,
+    }
+
+    impl<T: Transport> PullCounter<T> {
+        fn landed(
+            &self,
+            got: Result<Option<(usize, Message)>, CommError>,
+        ) -> Result<Option<(usize, Message)>, CommError> {
+            if let Ok(Some((_, Message::ExpertPayload { .. }))) = &got {
+                self.outstanding.fetch_sub(1, Ordering::SeqCst);
+            }
+            got
+        }
+    }
+
+    impl<T: Transport> Transport for PullCounter<T> {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+        fn world_size(&self) -> usize {
+            self.inner.world_size()
+        }
+        fn send(&self, to: usize, msg: Message) -> Result<(), CommError> {
+            if matches!(msg, Message::PullRequest { .. }) {
+                let now = self.outstanding.fetch_add(1, Ordering::SeqCst) + 1;
+                self.peak.fetch_max(now, Ordering::SeqCst);
+            }
+            self.inner.send(to, msg)
+        }
+        fn recv(&self) -> Result<(usize, Message), CommError> {
+            self.landed(self.inner.recv().map(Some))
+                .map(|m| m.expect("blocking recv returns a message"))
+        }
+        fn try_recv(&self) -> Result<Option<(usize, Message)>, CommError> {
+            self.landed(self.inner.try_recv())
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Result<Option<(usize, Message)>, CommError> {
+            self.landed(self.inner.recv_timeout(timeout))
+        }
+    }
+
+    /// The plan's credit budget bounds the pull pipeline: no rank ever has
+    /// more than `credits` pulls outstanding, a budget of one still
+    /// completes, and every budget trains bitwise like expert-centric.
+    #[test]
+    fn credits_bound_outstanding_pulls_and_keep_the_bits() {
+        let cfg = ExecConfig::small();
+        let ec = Trainer::new(
+            &cfg,
+            &PlanOpts {
+                policy: ParadigmPolicy::ExpertCentric,
+                ..PlanOpts::default()
+            },
+        )
+        .run(2);
+        // Per rank and block: 2 internal pulls + 2 designated externals.
+        let pulls_per_block = 4;
+        for credits in [1, 2, 16] {
+            let trainer = Trainer::new(
+                &cfg,
+                &PlanOpts {
+                    policy: ParadigmPolicy::DataCentric,
+                    credits,
+                    ..PlanOpts::default()
+                },
+            );
+            let peaks: Vec<Arc<AtomicI64>> = (0..cfg.world()).map(|_| Arc::default()).collect();
+            let mesh = local_mesh(cfg.world())
+                .into_iter()
+                .zip(&peaks)
+                .map(|(inner, peak)| PullCounter {
+                    inner,
+                    outstanding: AtomicI64::new(0),
+                    peak: peak.clone(),
+                })
+                .collect::<Vec<_>>();
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = tx.send(trainer.run_on(mesh, 2));
+            });
+            let dc = rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|e| panic!("credits = {credits}: no result within 60 s ({e})"));
+            assert_eq!(dc.losses, ec.losses, "credits = {credits}: losses differ");
+            assert_eq!(
+                dc.outputs, ec.outputs,
+                "credits = {credits}: outputs differ"
+            );
+            for (rank, peak) in peaks.iter().enumerate() {
+                assert_eq!(
+                    peak.load(Ordering::SeqCst),
+                    i64::from(credits).min(pulls_per_block),
+                    "credits = {credits}: rank {rank}'s peak outstanding pulls"
+                );
+            }
         }
     }
 

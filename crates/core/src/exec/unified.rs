@@ -78,7 +78,7 @@ pub fn run_iteration<T: Transport>(
                 (y, BlockTape::Ec(tape))
             }
             Paradigm::DataCentric => {
-                let (y, tape) = data_centric::forward_block(&rt, state, b, &x)?;
+                let (y, tape) = data_centric::forward_block(&rt, state, b, &x, plan.credits)?;
                 (y, BlockTape::Dc(tape))
             }
         };

@@ -187,25 +187,29 @@ pub fn drift_report(sim: &[(SegKey, f64)], real: &[(SegKey, f64)]) -> DriftRepor
 /// (`grad_push` at rank scope, `grad_ext` at machine scope), and
 /// `a2a_*`. Wait spans (`cache_wait`, `credit_wait`, `grad_wait`,
 /// `barrier`) measure scheduling, not modelled work, and are left to the
-/// blame report. A `pull` nested inside a `prefetch` on the same rank is
-/// skipped: the prefetch span already accounts for that wire time at
-/// machine scope, and counting both would double-bill it.
+/// blame report. A `pull` nested inside the `prefetch` of the same expert
+/// on the same rank is skipped: the prefetch span already accounts for
+/// that wire time at machine scope, and counting both would double-bill it.
 pub fn real_segments<F: Fn(u32) -> usize>(
     events: &[TraceEvent],
     machine_of: F,
 ) -> Vec<(SegKey, f64)> {
-    let mut prefetch_windows: BTreeMap<u32, Vec<(f64, f64)>> = BTreeMap::new();
+    // Prefetch windows per (rank, `b{b}/e{e}`): a pull is nested only in
+    // the prefetch of its own expert. Pipelined pulls of other experts
+    // overlap a prefetch window in time and still count.
+    let mut prefetch_windows: BTreeMap<(u32, &str), Vec<(f64, f64)>> = BTreeMap::new();
     for e in events {
-        if e.name.starts_with("prefetch/") {
+        if let Some(target) = e.name.strip_prefix("prefetch/") {
             prefetch_windows
-                .entry(e.pid)
+                .entry((e.pid, target))
                 .or_default()
                 .push((e.ts_us, e.end_us()));
         }
     }
     let nested_in_prefetch = |e: &TraceEvent| {
-        prefetch_windows
-            .get(&e.pid)
+        e.name
+            .strip_prefix("pull/")
+            .and_then(|target| prefetch_windows.get(&(e.pid, target)))
             .is_some_and(|ws| ws.iter().any(|&(s, f)| e.ts_us >= s && e.end_us() <= f))
     };
     let mut out = Vec::new();
@@ -385,8 +389,10 @@ mod tests {
             // Designated rank 0: prefetch wraps the wire pull.
             span("prefetch/b0/e2", 0, 0.0, 10.0),
             span("pull/b0/e2", 0, 1.0, 8.0),
-            // A free-standing internal pull on the same rank still counts.
+            // A free-standing internal pull on the same rank still counts,
+            // and so does one in flight inside another expert's prefetch.
             span("pull/b0/e1", 0, 20.0, 3.0),
+            span("pull/b0/e0", 0, 2.0, 4.0),
             // Same window on another rank: not nested there.
             span("pull/b0/e3", 1, 1.0, 8.0),
         ];
@@ -396,7 +402,7 @@ mod tests {
             *m.entry(key).or_default() += v;
         }
         assert_eq!(m.get(&k("M0", 0, "prefetch")), Some(&10.0));
-        assert_eq!(m.get(&k("r0", 0, "pull")), Some(&3.0));
+        assert_eq!(m.get(&k("r0", 0, "pull")), Some(&7.0));
         assert_eq!(m.get(&k("r1", 0, "pull")), Some(&8.0));
     }
 }
