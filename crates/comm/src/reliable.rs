@@ -8,11 +8,15 @@
 //! message is wrapped in a [`Message::Reliable`] envelope carrying a
 //! 1-based per-(sender, receiver) sequence number and kept on an unacked
 //! queue; the receiver delivers envelopes in sequence order exactly once,
-//! holding early arrivals and discarding duplicates, and answers each
-//! with a cumulative [`Message::Ack`]. Unacked messages are retransmitted
-//! with exponential backoff until acked or the attempt budget runs out,
-//! at which point the send surfaces as [`CommError::Timeout`] naming the
-//! peer and sequence number — a diagnostic, never a hang.
+//! holding early arrivals and discarding duplicates, and answers with one
+//! cumulative [`Message::Ack`] per drained burst: every envelope (a
+//! duplicate included) marks its sender as owed an ack, and each drain or
+//! receive pass ends by sending one ack per owed peer, so no ack outlives
+//! the transport call that processed its frame. Unacked messages are
+//! retransmitted with exponential backoff until acked or the attempt
+//! budget runs out, at which point the send surfaces as
+//! [`CommError::Timeout`] naming the peer and sequence number — a
+//! diagnostic, never a hang.
 //!
 //! Retransmissions are driven opportunistically from every `send`,
 //! `recv`, `try_recv`, and `recv_timeout` call (the engines call these
@@ -84,6 +88,9 @@ struct RelState {
     held: Vec<BTreeMap<u64, bytes::Bytes>>,
     /// In-order messages decoded and awaiting delivery to the caller.
     ready: VecDeque<(usize, Message)>,
+    /// Peers whose envelopes arrived since their last ack; each gets one
+    /// cumulative ack when the current drain or receive pass ends.
+    owed: Vec<bool>,
     stats: TransportStats,
 }
 
@@ -112,6 +119,7 @@ impl<T: Transport> ReliableTransport<T> {
                 expected: vec![1; world],
                 held: (0..world).map(|_| BTreeMap::new()).collect(),
                 ready: VecDeque::new(),
+                owed: vec![false; world],
                 stats: TransportStats::default(),
             }),
         }
@@ -123,9 +131,10 @@ impl<T: Transport> ReliableTransport<T> {
     }
 
     /// Handle one message from the inner transport. Envelopes are
-    /// sequenced, deduped, and acked; acks retire unacked sends;
-    /// anything else (a peer not speaking the reliable protocol, or a
-    /// self-send looped back) passes straight through.
+    /// sequenced and deduped, and mark their sender as owed an ack (sent
+    /// by [`Self::send_owed_acks`] at the end of the pass); acks retire
+    /// unacked sends; anything else (a peer not speaking the reliable
+    /// protocol, or a self-send looped back) passes straight through.
     fn process_incoming(
         &self,
         state: &mut RelState,
@@ -134,6 +143,9 @@ impl<T: Transport> ReliableTransport<T> {
     ) -> Result<(), CommError> {
         match msg {
             Message::Reliable { seq, data } => {
+                // Owed even for a duplicate: the peer evidently missed
+                // the previous ack.
+                state.owed[from] = true;
                 let expected = state.expected[from];
                 if seq < expected {
                     state.stats.duplicates_dropped += 1;
@@ -158,23 +170,6 @@ impl<T: Transport> ReliableTransport<T> {
                         crate::obs::proto_count("janus_comm_duplicates_dropped_total");
                     }
                 }
-                // Cumulative ack for everything contiguously delivered,
-                // including re-acks of duplicates (the peer evidently
-                // missed the previous one). A peer that already tore its
-                // endpoint down no longer needs acks — erroring here
-                // would abort the caller's recv even though the message
-                // just delivered is sitting in `ready`.
-                let ack = state.expected[from] - 1;
-                match self.inner.send(from, Message::Ack { ack }) {
-                    Ok(()) => {
-                        state.stats.acks_sent += 1;
-                        crate::obs::proto_event(self.inner.rank(), "janus_comm_acks_total", || {
-                            format!("ack/from{from}/s{ack}")
-                        });
-                    }
-                    Err(CommError::Disconnected) => {}
-                    Err(e) => return Err(e),
-                }
             }
             Message::Ack { ack } => {
                 let queue = &mut state.unacked[from];
@@ -185,6 +180,43 @@ impl<T: Transport> ReliableTransport<T> {
             other => state.ready.push_back((from, other)),
         }
         Ok(())
+    }
+
+    /// Send one cumulative ack — everything contiguously delivered — to
+    /// every peer owed one. A peer that already tore its endpoint down no
+    /// longer needs acks: erroring here would abort the caller's receive
+    /// even though the messages just delivered are sitting in `ready`.
+    fn send_owed_acks(&self, state: &mut RelState) -> Result<(), CommError> {
+        for from in 0..state.owed.len() {
+            if !std::mem::take(&mut state.owed[from]) {
+                continue;
+            }
+            let ack = state.expected[from] - 1;
+            match self.inner.send(from, Message::Ack { ack }) {
+                Ok(()) => {
+                    state.stats.acks_sent += 1;
+                    crate::obs::proto_event(self.inner.rank(), "janus_comm_acks_total", || {
+                        format!("ack/from{from}/s{ack}")
+                    });
+                }
+                Err(CommError::Disconnected) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Process one frame taken from a blocking inner receive and ack it at
+    /// once (the flush loops run no drain pass that would).
+    fn process_and_ack(
+        &self,
+        state: &mut RelState,
+        from: usize,
+        msg: Message,
+    ) -> Result<(), CommError> {
+        let processed = self.process_incoming(state, from, msg);
+        let acked = self.send_owed_acks(state);
+        processed.and(acked)
     }
 
     /// Retransmit every overdue unacked envelope; error out when one
@@ -249,13 +281,26 @@ impl<T: Transport> ReliableTransport<T> {
         Ok(())
     }
 
-    /// Drain everything immediately available from the inner transport,
-    /// then run the retransmit pump.
-    fn drain_and_pump(&self, state: &mut RelState) -> Result<(), CommError> {
+    fn drain(&self, state: &mut RelState) -> Result<(), CommError> {
         while let Some((from, msg)) = self.inner.try_recv()? {
             self.process_incoming(state, from, msg)?;
         }
+        Ok(())
+    }
+
+    /// Drain everything immediately available from the inner transport,
+    /// ack the burst (one ack per owed peer, even when the drain failed
+    /// part-way), then run the retransmit pump.
+    fn drain_and_pump(&self, state: &mut RelState) -> Result<(), CommError> {
+        let drained = self.drain(state);
+        let acked = self.send_owed_acks(state);
+        drained.and(acked)?;
         self.pump_retransmits(state)
+    }
+
+    /// Whether no ack is owed: checked before every blocking wait.
+    fn all_acked(state: &RelState) -> bool {
+        !state.owed.contains(&true)
     }
 
     /// How long a blocking receive may wait before the pump must run
@@ -340,9 +385,12 @@ impl<T: Transport> Transport for ReliableTransport<T> {
                 return Ok(m);
             }
             pumped?;
+            debug_assert!(Self::all_acked(&state), "ack owed across a blocking wait");
             let slice = self.wait_slice(&state);
             drop(state);
             if let Some((from, msg)) = self.inner.recv_timeout(slice)? {
+                // Acked by the drain that opens the next pass, before
+                // this call returns or blocks again.
                 let mut state = self.state.borrow_mut();
                 self.process_incoming(&mut state, from, msg)?;
             }
@@ -372,9 +420,12 @@ impl<T: Transport> Transport for ReliableTransport<T> {
             if now >= deadline {
                 return Ok(None);
             }
+            debug_assert!(Self::all_acked(&state), "ack owed across a blocking wait");
             let slice = self.wait_slice(&state).min(deadline - now);
             drop(state);
             if let Some((from, msg)) = self.inner.recv_timeout(slice)? {
+                // Acked by the drain that opens the next pass, before
+                // this call returns or blocks again.
                 let mut state = self.state.borrow_mut();
                 self.process_incoming(&mut state, from, msg)?;
             }
@@ -404,9 +455,10 @@ impl<T: Transport> Transport for ReliableTransport<T> {
                 }
                 Err(e) => return Err(e),
             }
+            debug_assert!(Self::all_acked(&state), "ack owed across a blocking wait");
             let slice = self.wait_slice(&state);
             match self.inner.recv_timeout(slice) {
-                Ok(Some((from, msg))) => self.process_incoming(&mut state, from, msg)?,
+                Ok(Some((from, msg))) => self.process_and_ack(&mut state, from, msg)?,
                 Ok(None) => {}
                 Err(CommError::Disconnected) => {
                     state.unacked.iter_mut().for_each(VecDeque::clear);
@@ -418,9 +470,10 @@ impl<T: Transport> Transport for ReliableTransport<T> {
         // Phase 2: linger so peers still retransmitting get their acks.
         let mut last_activity = Instant::now();
         while last_activity.elapsed() < self.policy.flush_quiet {
+            debug_assert!(Self::all_acked(&state), "ack owed across a blocking wait");
             match self.inner.recv_timeout(self.policy.flush_quiet / 4) {
                 Ok(Some((from, msg))) => {
-                    match self.process_incoming(&mut state, from, msg) {
+                    match self.process_and_ack(&mut state, from, msg) {
                         Ok(()) | Err(CommError::Disconnected) => {}
                         Err(e) => return Err(e),
                     }
@@ -604,47 +657,127 @@ mod tests {
         assert_eq!(stats.faults_dropped, 3, "{stats:?}");
     }
 
+    /// Envelope `seq` carrying `Barrier { epoch }`, as a peer speaking the
+    /// protocol by hand sends it.
+    fn env(seq: u64, epoch: u64) -> Message {
+        Message::Reliable {
+            seq,
+            data: Message::Barrier { epoch }.encode(),
+        }
+    }
+
+    /// Everything the raw peer has been sent so far.
+    fn inbox(raw: &crate::local::LocalTransport) -> Vec<Message> {
+        std::iter::from_fn(|| raw.try_recv().unwrap().map(|(_, m)| m)).collect()
+    }
+
+    /// A frame and its duplicate drained in one burst earn one cumulative
+    /// ack; a duplicate arriving after that ack went out is re-acked.
     #[test]
     fn duplicates_are_dropped_and_reacked() {
         let mut mesh = local_mesh(2);
         let raw = mesh.pop().unwrap(); // rank 1, speaks the protocol by hand
         let rel = ReliableTransport::with_policy(mesh.pop().unwrap(), quick_policy());
-        let env = Message::Reliable {
-            seq: 1,
-            data: Message::Barrier { epoch: 7 }.encode(),
-        };
-        raw.send(0, env.clone()).unwrap();
-        raw.send(0, env).unwrap();
+        raw.send(0, env(1, 7)).unwrap();
+        raw.send(0, env(1, 7)).unwrap();
         assert_eq!(rel.recv().unwrap(), (1, Message::Barrier { epoch: 7 }));
         assert!(rel.try_recv().unwrap().is_none(), "duplicate delivered");
+        assert_eq!(
+            inbox(&raw),
+            vec![Message::Ack { ack: 1 }],
+            "one ack per burst"
+        );
         let stats = rel.stats();
-        assert_eq!(stats.duplicates_dropped, 1);
-        // Both copies were acked (cumulative ack = 1 each time).
-        assert_eq!(stats.acks_sent, 2);
-        assert_eq!(raw.recv().unwrap().1, Message::Ack { ack: 1 });
-        assert_eq!(raw.recv().unwrap().1, Message::Ack { ack: 1 });
+        assert_eq!((stats.duplicates_dropped, stats.acks_sent), (1, 1));
+
+        // The peer missed that ack and retransmits: re-acked at once.
+        raw.send(0, env(1, 7)).unwrap();
+        assert!(rel.try_recv().unwrap().is_none(), "duplicate delivered");
+        assert_eq!(
+            inbox(&raw),
+            vec![Message::Ack { ack: 1 }],
+            "duplicate re-acked"
+        );
+        let stats = rel.stats();
+        assert_eq!((stats.duplicates_dropped, stats.acks_sent), (2, 2));
     }
 
+    /// Early arrivals are held and delivered in order once the gap fills;
+    /// each drained burst earns one ack of everything contiguous so far.
     #[test]
     fn out_of_order_arrivals_are_held_and_reordered() {
         let mut mesh = local_mesh(2);
         let raw = mesh.pop().unwrap();
         let rel = ReliableTransport::with_policy(mesh.pop().unwrap(), quick_policy());
-        let env = |seq: u64, epoch: u64| Message::Reliable {
-            seq,
-            data: Message::Barrier { epoch }.encode(),
-        };
+        // Burst 1: a gap, so nothing is contiguous yet.
         raw.send(0, env(2, 200)).unwrap();
+        assert!(rel.try_recv().unwrap().is_none());
+        assert_eq!(inbox(&raw), vec![Message::Ack { ack: 0 }]);
+        // Burst 2: another early frame, then the one that fills the gap.
         raw.send(0, env(3, 300)).unwrap();
         raw.send(0, env(1, 100)).unwrap();
         assert_eq!(rel.recv().unwrap().1, Message::Barrier { epoch: 100 });
         assert_eq!(rel.recv().unwrap().1, Message::Barrier { epoch: 200 });
         assert_eq!(rel.recv().unwrap().1, Message::Barrier { epoch: 300 });
         assert_eq!(rel.stats().out_of_order_held, 2);
-        // Acks are cumulative: 0, 0 (held), then 3 once the gap filled.
-        assert_eq!(raw.recv().unwrap().1, Message::Ack { ack: 0 });
-        assert_eq!(raw.recv().unwrap().1, Message::Ack { ack: 0 });
-        assert_eq!(raw.recv().unwrap().1, Message::Ack { ack: 3 });
+        assert_eq!(inbox(&raw), vec![Message::Ack { ack: 3 }]);
+        assert_eq!(rel.stats().acks_sent, 2);
+    }
+
+    /// No ack is still owed when `try_recv`, `recv_timeout` or `recv`
+    /// returns, nor while `recv` blocks: the peer sees each ack before it
+    /// has to send anything else.
+    #[test]
+    fn no_ack_is_owed_when_a_receive_returns_or_blocks() {
+        let mut mesh = local_mesh(2);
+        let raw = mesh.pop().unwrap();
+        let rel = ReliableTransport::with_policy(mesh.pop().unwrap(), quick_policy());
+        raw.send(0, env(1, 1)).unwrap();
+        assert!(rel.try_recv().unwrap().is_some());
+        assert_eq!(inbox(&raw), vec![Message::Ack { ack: 1 }]);
+        raw.send(0, env(2, 2)).unwrap();
+        assert!(rel.recv_timeout(Duration::from_secs(5)).unwrap().is_some());
+        assert_eq!(inbox(&raw), vec![Message::Ack { ack: 2 }]);
+        // A held frame processed inside a wait that then times out.
+        raw.send(0, env(4, 4)).unwrap();
+        assert!(rel
+            .recv_timeout(Duration::from_millis(5))
+            .unwrap()
+            .is_none());
+        assert_eq!(inbox(&raw), vec![Message::Ack { ack: 2 }]);
+
+        std::thread::scope(|s| {
+            let receiver = s.spawn(move || {
+                // Blocks: only seq 4 is held, seq 3 is missing.
+                let first = rel.recv().unwrap();
+                let second = rel.recv().unwrap();
+                (first, second)
+            });
+            // A duplicate of 4 reaches the receiver while it blocks; its
+            // re-ack must come back before the receiver blocks again.
+            // The gap is filled whether or not the ack came, so a missing
+            // ack fails the test instead of hanging it.
+            let wait = || raw.recv_timeout(Duration::from_secs(5)).unwrap();
+            std::thread::sleep(Duration::from_millis(5));
+            raw.send(0, env(4, 4)).unwrap();
+            let reack = wait();
+            raw.send(0, env(3, 3)).unwrap();
+            let ack = wait();
+            let (first, second) = receiver.join().unwrap();
+            assert_eq!(
+                reack,
+                Some((0, Message::Ack { ack: 2 })),
+                "re-ack owed while blocked"
+            );
+            assert_eq!(
+                ack,
+                Some((0, Message::Ack { ack: 4 })),
+                "ack owed while blocked"
+            );
+            assert_eq!(first.1, Message::Barrier { epoch: 3 });
+            assert_eq!(second.1, Message::Barrier { epoch: 4 });
+        });
+        assert!(inbox(&raw).is_empty());
     }
 
     #[test]
