@@ -139,13 +139,7 @@ impl Executor {
     /// each exclusive one alone. A failed task does not stop the others.
     pub fn run(&self, dag: &Dag, selected: &BTreeSet<usize>) -> RunSummary {
         let t0 = Instant::now();
-        let (exclusive, shared): (Vec<&TaskSpec>, Vec<&TaskSpec>) = selected
-            .iter()
-            .map(|&i| &dag.tasks()[i])
-            .partition(|t| t.exclusive);
-        let mut outcomes =
-            pool::run_tasks_bounded(self.jobs, shared.len(), |k| self.run_reported(shared[k]));
-        outcomes.extend(exclusive.into_iter().map(|t| self.run_reported(t)));
+        let outcomes = self.schedule(dag, selected, |t| self.run_reported(t));
         RunSummary {
             outcomes,
             elapsed_ms: t0.elapsed().as_millis() as u64,
@@ -154,24 +148,41 @@ impl Executor {
 
     /// Re-run each selected task from its recorded manifest into a
     /// staging directory and compare canonical digests (config, plans,
-    /// non-volatile outputs). Tasks whose outputs are all volatile are
-    /// skipped — there is nothing deterministic to check.
+    /// non-volatile outputs), scheduled like [`Executor::run`]: up to
+    /// `jobs` non-exclusive tasks at once, then each exclusive one alone.
+    /// Tasks whose outputs are all volatile are skipped — there is
+    /// nothing deterministic to check.
     pub fn verify(&self, dag: &Dag, selected: &BTreeSet<usize>) -> RunSummary {
         let t0 = Instant::now();
         let staging_root = self.root.join(".verify");
-        let outcomes = selected
-            .iter()
-            .map(|&i| {
-                let outcome = self.verify_one(&dag.tasks()[i], &staging_root);
-                self.report_line(&outcome);
-                outcome
-            })
-            .collect();
+        let outcomes = self.schedule(dag, selected, |t| {
+            let outcome = self.verify_one(t, &staging_root);
+            self.report_line(&outcome);
+            outcome
+        });
         let _ = std::fs::remove_dir_all(&staging_root);
         RunSummary {
             outcomes,
             elapsed_ms: t0.elapsed().as_millis() as u64,
         }
+    }
+
+    /// Apply `task` to the selection: the non-exclusive tasks on the pool,
+    /// at most `jobs` at once, then each exclusive task alone, both groups
+    /// in registration order.
+    fn schedule(
+        &self,
+        dag: &Dag,
+        selected: &BTreeSet<usize>,
+        task: impl Fn(&TaskSpec) -> TaskOutcome + Sync,
+    ) -> Vec<TaskOutcome> {
+        let (exclusive, shared): (Vec<&TaskSpec>, Vec<&TaskSpec>) = selected
+            .iter()
+            .map(|&i| &dag.tasks()[i])
+            .partition(|t| t.exclusive);
+        let mut outcomes = pool::run_tasks_bounded(self.jobs, shared.len(), |k| task(shared[k]));
+        outcomes.extend(exclusive.into_iter().map(task));
+        outcomes
     }
 
     fn verify_one(&self, spec: &TaskSpec, staging_root: &Path) -> TaskOutcome {

@@ -188,23 +188,35 @@ fn failed_task_is_reported_and_the_others_still_run() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A task that counts itself in flight for a moment, and records whether
-/// it ever shared the executor with another task while `exclusive`.
-fn counted(
-    name: &str,
-    exclusive: bool,
-    in_flight: &Arc<AtomicUsize>,
-    overlapped: &Arc<AtomicBool>,
-) -> TaskSpec {
-    let (in_flight, overlapped) = (in_flight.clone(), overlapped.clone());
+/// What the [`counted`] tasks of one executor observed.
+#[derive(Default)]
+struct Flight {
+    /// Tasks running right now.
+    in_flight: AtomicUsize,
+    /// Most tasks ever running at once.
+    peak: AtomicUsize,
+    /// An exclusive task shared the executor with another task.
+    overlapped: AtomicBool,
+}
+
+/// A task that counts itself in flight for a moment, records whether it
+/// ever shared the executor with another task while `exclusive`, and
+/// emits one deterministic file (so `verify` re-runs it).
+fn counted(name: &str, exclusive: bool, flight: &Arc<Flight>) -> TaskSpec {
+    let flight = flight.clone();
+    let file = format!("{name}.json");
     let spec = TaskSpec::new(name, move |_dir| {
-        let others = in_flight.fetch_add(1, Ordering::SeqCst);
+        let others = flight.in_flight.fetch_add(1, Ordering::SeqCst);
+        flight.peak.fetch_max(others + 1, Ordering::SeqCst);
         std::thread::sleep(Duration::from_millis(20));
-        let others_at_end = in_flight.fetch_sub(1, Ordering::SeqCst) - 1;
+        let others_at_end = flight.in_flight.fetch_sub(1, Ordering::SeqCst) - 1;
         if exclusive && (others > 0 || others_at_end > 0) {
-            overlapped.store(true, Ordering::SeqCst);
+            flight.overlapped.store(true, Ordering::SeqCst);
         }
-        Ok(TaskReport::default())
+        Ok(TaskReport {
+            files: vec![OutFile::new(file.clone(), b"{}\n".to_vec())],
+            ..TaskReport::default()
+        })
     });
     if exclusive {
         spec.exclusive()
@@ -213,23 +225,53 @@ fn counted(
     }
 }
 
+/// Twelve tasks, every third one exclusive, interleaved in registration
+/// order.
+fn counted_dag(flight: &Arc<Flight>) -> Dag {
+    let tasks = (0..12)
+        .map(|i| counted(&format!("t{i}"), i % 3 == 1, flight))
+        .collect();
+    Dag::new(tasks).unwrap()
+}
+
 #[test]
 fn exclusive_tasks_never_overlap_another_task() {
-    let in_flight = Arc::new(AtomicUsize::new(0));
-    let overlapped = Arc::new(AtomicBool::new(false));
-    // Exclusive tasks interleave with shared ones in registration order.
-    let tasks = (0..12)
-        .map(|i| counted(&format!("t{i}"), i % 3 == 1, &in_flight, &overlapped))
-        .collect();
-    let dag = Dag::new(tasks).unwrap();
+    let flight = Arc::new(Flight::default());
+    let dag = counted_dag(&flight);
     let root = scratch("exclusive");
     let exec = Executor::new(&root, 4, LabEnv::unknown()).quiet();
     let summary = exec.run(&dag, &dag.all());
     assert!(summary.ok());
     assert_eq!(summary.count(TaskStatus::Ok), 12);
     assert!(
-        !overlapped.load(Ordering::SeqCst),
+        !flight.overlapped.load(Ordering::SeqCst),
         "an exclusive task ran while another task was in flight"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `verify` schedules like `run`: up to `jobs` shared tasks at once, and
+/// exclusive tasks alone.
+#[test]
+fn verify_runs_shared_tasks_concurrently_and_exclusive_ones_alone() {
+    let flight = Arc::new(Flight::default());
+    let dag = counted_dag(&flight);
+    let root = scratch("verify-jobs");
+    let exec = Executor::new(&root, 4, LabEnv::unknown()).quiet();
+    assert!(exec.run(&dag, &dag.all()).ok());
+    let verify_flight = Arc::new(Flight::default());
+    let dag = counted_dag(&verify_flight);
+    let summary = exec.verify(&dag, &dag.all());
+    assert!(summary.ok(), "{:?}", summary.outcomes);
+    assert_eq!(summary.count(TaskStatus::Ok), 12);
+    assert!(
+        !verify_flight.overlapped.load(Ordering::SeqCst),
+        "an exclusive task was verified while another task was in flight"
+    );
+    let peak = verify_flight.peak.load(Ordering::SeqCst);
+    assert!(
+        (2..=4).contains(&peak),
+        "verify at --jobs 4 ran at most {peak} tasks at once"
     );
     let _ = std::fs::remove_dir_all(&root);
 }
